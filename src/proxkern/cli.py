@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import dissimilarity_space, lmds_fit, lmds_project
-from .corrections import fit_corrected_model, load_model, save_model
+from .corrections import ILL_CONDITION_LIMIT, fit_corrected_model, load_model, save_model
 from .dataio import (
     DataError,
     Kind,
@@ -267,7 +267,11 @@ def _cmd_correct(args) -> int:
     save_model(model, args.out)
     _sidecar(args.out, args)
     if model.ill_conditioned:
-        print("warning: landmark eigenvector block is severely ill-conditioned", file=sys.stderr)
+        print(
+            "warning: the landmark cross block is severely ill-conditioned "
+            f"(its singular values span more than {ILL_CONDITION_LIMIT:.0e})",
+            file=sys.stderr,
+        )
     print(f"wrote {args.mode} model (m={m}) to {args.out}")
     return 0
 

@@ -13,6 +13,7 @@ semi-definite and ``w_star = R R^T`` provides an explicit feature map
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import DataError, Kind
-from .eigencore import DEFAULT_PINV_TOL, pinv_sym, sym_eig
+from .eigencore import DEFAULT_PINV_TOL, pinv_sym
 from .nystrom import (
     CenteringStats,
     EigenModel,
@@ -31,13 +32,12 @@ from .nystrom import (
     nystrom_factors,
     select_landmarks,
 )
+from .transforms import CLAMP_TOL
 
 MODES = ("clip", "flip", "shift", "none")
 
-# condition estimate of the corrected landmark core above which the model is flagged
+# singular-value ratio of the (centered) cross block above which the model is flagged
 ILL_CONDITION_LIMIT = 1e12
-# round-off floor when converting corrected similarities back to dissimilarities
-CLAMP_TOL = 1e-9
 
 
 def correct_eigenvalues(values: np.ndarray, mode: str) -> np.ndarray:
@@ -84,14 +84,12 @@ class CorrectedModel:
 
 def build_corrected_model(
     eig: EigenModel,
-    cross: np.ndarray,
-    core: np.ndarray,
     landmarks: np.ndarray,
     mode: str,
     stats: CenteringStats | None = None,
     rel_tol: float = DEFAULT_PINV_TOL,
 ) -> CorrectedModel:
-    """Assemble a corrected model from an eigendecomposition and its blocks.
+    """Assemble a corrected model from an eigendecomposition of its blocks.
 
     The eigenvectors factor through the cross block as ``C = cross @ T``
     (T is ``eig.row_map``), so the corrected matrix re-expressed over raw
@@ -99,48 +97,32 @@ def build_corrected_model(
 
         C A* C^T = cross @ (T A* T^T) @ cross^T,   w_star = T A* T^T.
 
-    Inverting the corrected landmark block ``C_mm A* C_mm^T`` gives the same
-    w_star when that block is invertible, but a pseudo-inverse turns the
-    singular clipped spectrum into an oblique projection and breaks the
-    identity, so the factored form is used throughout.  Severe rank
-    deficiency of ``C_mm = core @ T`` is still flagged on the model.
+    The same factored form gives the feature factor ``R = T sqrt(A*)`` over
+    the positive corrected eigenvalues; it is None when one is below
+    ``-rel_tol * max|A*|``.  The model is flagged ill-conditioned when the
+    cross block's singular values span more than ``ILL_CONDITION_LIMIT``.
     """
     if mode not in MODES:
         raise ValueError(f"unknown correction mode {mode!r}; expected one of {MODES}")
-    cross = np.asarray(cross, dtype=np.float64)
-    core = np.asarray(core, dtype=np.float64)
     a_star = correct_eigenvalues(eig.values, mode)
     w_star = eig.row_map @ (a_star[:, None] * eig.row_map.T)
     w_star = (w_star + w_star.T) / 2.0
-    c_mm = core @ eig.row_map
-    sv = np.linalg.svd(c_mm, compute_uv=False) if c_mm.size else np.zeros(0)
-    ill = bool(sv.size and sv.max() > 0 and sv.max() > ILL_CONDITION_LIMIT * sv.min())
-    r = _feature_factor(w_star, rel_tol)
+    scale = np.abs(a_star).max() if a_star.size else 0.0
+    r = None
+    if not (a_star < -rel_tol * scale).any():
+        kept = a_star > rel_tol * scale
+        r = eig.row_map[:, kept] * np.sqrt(a_star[kept])
+    sv = eig.cross_sv
+    ill = bool(sv.size and sv[0] > ILL_CONDITION_LIMIT * sv[-1])
     return CorrectedModel(
         landmarks=np.asarray(landmarks, dtype=np.int64),
-        cross=cross,
+        cross=eig.cross,
         w_star=w_star,
         mode=mode,
         r=r,
         stats=stats,
         ill_conditioned=ill,
     )
-
-
-def _feature_factor(w_star: np.ndarray, rel_tol: float) -> np.ndarray | None:
-    """Factor ``w_star = R R^T`` keeping the positive directions.
-
-    Returns None when residual negative directions remain (possible for
-    mode none on indefinite data), in which case no real feature map exists.
-    """
-    q, omega = sym_eig(w_star)
-    scale = np.abs(omega).max() if omega.size else 0.0
-    if scale == 0.0:
-        return np.zeros((w_star.shape[0], 0))
-    if omega.min() < -rel_tol * scale:
-        return None
-    keep = omega > rel_tol * scale
-    return q[:, keep] * np.sqrt(omega[keep])
 
 
 def corrected_block(model: CorrectedModel, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -213,23 +195,27 @@ def fit_corrected_model_from_factors(
     factors: NystromFactors, mode: str, rel_tol: float = DEFAULT_PINV_TOL
 ) -> CorrectedModel:
     """Correct pre-built landmark factors (dissimilarities are centered first)."""
-    if factors.kind is Kind.SQUARED_DISSIMILARITY:
-        s_core, s_cross, stats = nystrom_double_center(
-            factors.cross, factors.core, rel_tol=rel_tol
-        )
-    else:
-        s_core, s_cross, stats = factors.core, factors.cross, None
-    sim_factors = NystromFactors(
-        kind=Kind.SIMILARITY,
-        landmarks=factors.landmarks,
-        cross=s_cross,
-        core=s_core,
-        core_pinv=pinv_sym(s_core, rel_tol),
+    sim, stats = similarity_factors(factors, rel_tol)
+    eig = nystrom_eig_indefinite(sim, rel_tol=rel_tol)
+    return build_corrected_model(eig, factors.landmarks, mode, stats=stats, rel_tol=rel_tol)
+
+
+def similarity_factors(
+    factors: NystromFactors, rel_tol: float = DEFAULT_PINV_TOL
+) -> tuple[NystromFactors, CenteringStats | None]:
+    """Similarity blocks of the factors and, for dissimilarities, their centering.
+
+    Squared dissimilarities are double centered with the factors' own core
+    pseudo-inverse, and only the centered core is inverted anew.
+    Similarities are returned unchanged, with no statistics.
+    """
+    if factors.kind is not Kind.SQUARED_DISSIMILARITY:
+        return factors, None
+    s_core, s_cross, stats = nystrom_double_center(
+        factors.cross, factors.core, core_pinv=factors.core_pinv
     )
-    eig = nystrom_eig_indefinite(sim_factors, rel_tol=rel_tol)
-    return build_corrected_model(
-        eig, s_cross, s_core, factors.landmarks, mode, stats=stats, rel_tol=rel_tol
-    )
+    core_pinv = pinv_sym(s_core, rel_tol)
+    return NystromFactors(Kind.SIMILARITY, factors.landmarks, s_cross, s_core, core_pinv), stats
 
 
 # ---------------------------------------------------------------------------
@@ -261,48 +247,59 @@ def save_model(model: CorrectedModel, path: str | Path) -> None:
         fh.write(
             _PCM_HEADER.pack(_PCM_MAGIC, flags, MODES.index(model.mode), model.n, model.m, k)
         )
-        fh.write(np.ascontiguousarray(model.landmarks, dtype="<u8").tobytes())
-        fh.write(np.ascontiguousarray(model.cross, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.w_star, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(model.landmarks, dtype="<u8"))
+        fh.write(np.ascontiguousarray(model.cross, dtype="<f8"))
+        fh.write(np.ascontiguousarray(model.w_star, dtype="<f8"))
         if model.r is not None:
-            fh.write(np.ascontiguousarray(model.r, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(model.r, dtype="<f8"))
         if model.stats is not None:
             fh.write(struct.pack("<Qd", model.stats.n, model.stats.g))
-            fh.write(np.ascontiguousarray(model.stats.s, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(model.stats.core_pinv, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(model.stats.s, dtype="<f8"))
+            fh.write(np.ascontiguousarray(model.stats.core_pinv, dtype="<f8"))
 
 
 def load_model(path: str | Path) -> CorrectedModel:
-    raw = Path(path).read_bytes()
-    if len(raw) < _PCM_HEADER.size:
-        raise DataError(f"{path}: truncated PCM header")
-    magic, flags, mode_idx, n, m, k = _PCM_HEADER.unpack_from(raw)
-    if magic != _PCM_MAGIC:
-        raise DataError(f"{path}: bad magic {magic!r}, expected {_PCM_MAGIC!r}")
-    if mode_idx >= len(MODES):
-        raise DataError(f"{path}: unknown mode byte {mode_idx}")
-    off = _PCM_HEADER.size
+    """Read a PCM1 model, raising ``DataError`` on any malformed file."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(_PCM_HEADER.size)
+        if len(header) < _PCM_HEADER.size:
+            raise DataError(f"{path}: truncated PCM header")
+        magic, flags, mode_idx, n, m, k = _PCM_HEADER.unpack(header)
+        if magic != _PCM_MAGIC:
+            raise DataError(f"{path}: bad magic {magic!r}, expected {_PCM_MAGIC!r}")
+        if mode_idx >= len(MODES):
+            raise DataError(f"{path}: unknown mode byte {mode_idx}")
+        off = _PCM_HEADER.size
 
-    def take(count, dtype):
-        nonlocal off
-        width = np.dtype(dtype).itemsize * count
-        if off + width > len(raw):
-            raise DataError(f"{path}: truncated PCM payload")
-        out = np.frombuffer(raw, dtype=dtype, count=count, offset=off)
-        off += width
-        return out
+        def take(count, dtype):
+            # size check first, so a corrupt header cannot ask for a huge array
+            nonlocal off
+            width = np.dtype(dtype).itemsize * count
+            if off + width > size:
+                raise DataError(f"{path}: truncated PCM payload")
+            out = np.empty(count, dtype=dtype)
+            if fh.readinto(out) != width:
+                raise DataError(f"{path}: truncated PCM payload")
+            off += width
+            return out
 
-    landmarks = take(m, "<u8").astype(np.int64)
-    cross = take(n * m, "<f8").reshape(n, m).copy()
-    w_star = take(m * m, "<f8").reshape(m, m).copy()
-    r = take(m * k, "<f8").reshape(m, k).copy() if flags & 2 else None
-    stats = None
-    if flags & 1:
-        stats_n, g = struct.unpack_from("<Qd", raw, off)
-        off += struct.calcsize("<Qd")
-        s = take(m, "<f8").copy()
-        core_pinv = take(m * m, "<f8").reshape(m, m).copy()
-        stats = CenteringStats(s=s, g=g, n=int(stats_n), core_pinv=core_pinv)
+        landmarks = take(m, "<u8")
+        if m and (landmarks.max() >= n or len(np.unique(landmarks)) != m):
+            raise DataError(f"{path}: landmark indices must be distinct and below n={n}")
+        landmarks = landmarks.astype(np.int64)
+        cross = take(n * m, "<f8").reshape(n, m)
+        w_star = take(m * m, "<f8").reshape(m, m)
+        r = take(m * k, "<f8").reshape(m, k) if flags & 2 else None
+        stats = None
+        if flags & 1:
+            stats_n = int(take(1, "<u8")[0])
+            g = float(take(1, "<f8")[0])
+            s = take(m, "<f8")
+            core_pinv = take(m * m, "<f8").reshape(m, m)
+            stats = CenteringStats(s=s, g=g, n=stats_n, core_pinv=core_pinv)
+        if off != size:
+            raise DataError(f"{path}: {size - off} trailing bytes after the PCM payload")
     return CorrectedModel(
         landmarks=landmarks,
         cross=cross,

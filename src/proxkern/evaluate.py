@@ -14,6 +14,7 @@ from .corrections import (
     build_corrected_model,
     correct_eigenvalues,
     fit_corrected_model_from_factors,
+    similarity_factors,
 )
 from .dataio import Kind, ProximityMatrix
 from .eigencore import DEFAULT_PINV_TOL, pinv_sym, sym_eig
@@ -21,7 +22,6 @@ from .nystrom import (
     NystromFactors,
     RowOracle,
     as_row_oracle,
-    nystrom_double_center,
     nystrom_eig_indefinite,
     nystrom_factors,
     select_landmarks,
@@ -219,12 +219,14 @@ def crossvalidate(
         landmarks = np.sort(rng.choice(n, size=m, replace=False))
         fold_sets = stratified_folds(labels, folds, rng)
         core = values[np.ix_(landmarks, landmarks)]
+        core_pinv = pinv_sym(core, rel_tol) if method == "corrected" else None
         for test_idx in fold_sets:
             train_idx = np.setdiff1d(np.arange(n), test_idx)
             train_rows = values[train_idx][:, landmarks]
             test_rows = values[test_idx][:, landmarks]
             f_train, f_test = _fold_features(
-                matrix.kind, method, mode, train_rows, test_rows, core, landmarks, rel_tol
+                matrix.kind, method, mode, train_rows, test_rows, core, core_pinv, landmarks,
+                rel_tol,
             )
             weights = fit_ridge_classifier(f_train, labels[train_idx], lam)
             predicted = predict_classes(f_test, weights)
@@ -242,19 +244,13 @@ def crossvalidate(
     return CvReport(acc, float(acc.mean()), float(acc.std()), config)
 
 
-def _fold_features(kind, method, mode, train_rows, test_rows, core, landmarks, rel_tol):
+def _fold_features(kind, method, mode, train_rows, test_rows, core, core_pinv, landmarks, rel_tol):
     if method == "dspace":
         return train_rows, test_rows
     if method == "lmds":
         embedding = lmds_fit(core)
         return lmds_project(embedding, train_rows), lmds_project(embedding, test_rows)
-    factors = NystromFactors(
-        kind=kind,
-        landmarks=landmarks,
-        cross=train_rows,
-        core=core,
-        core_pinv=pinv_sym(core, rel_tol),
-    )
+    factors = NystromFactors(kind, landmarks, train_rows, core, core_pinv)
     model = fit_corrected_model_from_factors(factors, mode, rel_tol=rel_tol)
     if model.r is None:
         raise ValueError(
@@ -346,17 +342,13 @@ def _run_proposed(oracle, kind, n, m, mode, seed) -> BenchRecord:
     factors = nystrom_factors(oracle, landmarks, kind=kind)
     stages["factors"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    if kind is Kind.SQUARED_DISSIMILARITY:
-        s_core, s_cross, stats = nystrom_double_center(factors.cross, factors.core)
-    else:
-        s_core, s_cross, stats = factors.core, factors.cross, None
+    sim, stats = similarity_factors(factors)
     stages["center"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    sim_factors = NystromFactors(Kind.SIMILARITY, landmarks, s_cross, s_core, pinv_sym(s_core))
-    eig = nystrom_eig_indefinite(sim_factors)
+    eig = nystrom_eig_indefinite(sim)
     stages["eig"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    build_corrected_model(eig, s_cross, s_core, landmarks, mode, stats=stats)
+    build_corrected_model(eig, landmarks, mode, stats=stats)
     stages["correct"] = time.perf_counter() - t0
     return BenchRecord(
         n=n,

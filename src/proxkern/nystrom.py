@@ -8,8 +8,9 @@ Everything in this module touches only the ``N x m`` cross block, never the
 full matrix, which is what makes the pipelines linear in N:
 
 * ``nystrom_factors`` builds the blocks from a matrix or a row oracle.
-* ``nystrom_eig_psd`` / ``nystrom_eig_indefinite`` compute the orthonormal
-  eigendecomposition of ``K_hat`` in O(N m^2).
+* ``nystrom_eig_indefinite`` (and ``nystrom_eig_psd`` for psd cores)
+  computes the eigendecomposition of ``K_hat`` in O(N m^2 + m^3) from one
+  row-blocked QR of the cross block and an m x m eigenproblem.
 * ``nystrom_double_center`` converts approximated squared dissimilarities
   into centered similarities in O(N m + m^3), returning the centering
   statistics needed later for out-of-sample queries.
@@ -74,19 +75,25 @@ class NystromFactors:
 
 @dataclass
 class EigenModel:
-    """Orthonormal eigendecomposition of an approximated matrix.
+    """Eigendecomposition of an approximated matrix ``cross @ core_pinv @ cross.T``.
 
-    ``vectors`` is N x k with orthonormal columns, ``values`` the matching
-    eigenvalues (descending).  ``row_map`` is the m x k linear map with
-    ``vectors = cross @ row_map``; it evaluates eigenvector coordinates for
-    any object from its landmark proximities, in particular for landmarks
-    that are not part of the fitted row set.
+    ``values`` are the k retained eigenvalues (descending) and ``row_map``
+    is the m x k map from landmark proximities to eigenvector coordinates:
+    the orthonormal eigenvectors are ``vectors = cross @ row_map``, which
+    also evaluates them for any object outside the fitted rows.
+    ``cross_sv`` holds all singular values of the cross block, descending.
     """
 
-    vectors: np.ndarray
     values: np.ndarray
     signature: Signature
     row_map: np.ndarray
+    cross_sv: np.ndarray
+    cross: np.ndarray = field(repr=False)
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The N x k orthonormal eigenvectors, formed on each read."""
+        return self.cross @ self.row_map
 
 
 @dataclass
@@ -153,93 +160,58 @@ def reconstruct_block(f: NystromFactors, rows: np.ndarray, cols: np.ndarray) -> 
 
 
 def nystrom_eig_psd(f: NystromFactors, rel_tol: float = DEFAULT_PINV_TOL) -> EigenModel:
-    """Orthonormal eigendecomposition of a psd approximated matrix in O(N m^2).
+    """Eigendecomposition of a psd approximated matrix in O(N m^2 + m^3).
 
-    With ``core = U L U^T`` the approximation factors as ``B B^T`` where
-    ``B = cross U L^{-1/2}``; diagonalizing the small ``B^T B = V A V^T``
-    yields ``K_hat = C A C^T`` with ``C = B V A^{-1/2}`` orthonormal.
+    Checks that the core is psd, then runs ``nystrom_eig_indefinite``.
     """
-    u, lam = sym_eig(f.core)
-    scale = np.abs(lam).max() if lam.size else 0.0
-    if scale == 0.0:
-        return _empty_model(f)
-    if lam.min() < -rel_tol * scale:
+    lam = np.linalg.eigvalsh(f.core)
+    if lam.size and lam.min() < -rel_tol * np.abs(lam).max():
         raise ValueError(
             "core has negative eigenvalues; use nystrom_eig_indefinite for indefinite sources"
         )
-    keep = lam > rel_tol * scale
-    if not keep.any():
-        return _empty_model(f)
-    t1 = u[:, keep] / np.sqrt(lam[keep])  # m x k1, B = cross @ t1
-    return _orthonormalize(f.cross, t1, rel_tol, psd=True)
+    return nystrom_eig_indefinite(f, rel_tol)
 
 
 def nystrom_eig_indefinite(f: NystromFactors, rel_tol: float = DEFAULT_PINV_TOL) -> EigenModel:
     """Eigendecomposition of an arbitrary symmetric approximated matrix.
 
-    Squaring removes the sign problem: ``K_hat^2 = cross S cross^T`` with the
-    psd middle matrix ``S = core_pinv (cross^T cross) core_pinv``, so the
-    psd routine applies and yields orthonormal eigenvectors ``C`` shared by
-    ``K_hat^2`` and ``K_hat``.  The eigenvalues of ``K_hat`` are recovered
-    from the small matrix ``M = C^T K_hat C``; re-diagonalizing M keeps the
-    result exact even when +v/-v eigenvalue pairs collide in the square.
+    With the thin QR ``cross = Q R`` and the SVD ``R = U S Z^T``, the
+    approximation is ``K_hat = (Q U) H (Q U)^T`` for the small symmetric
+    ``H = S Z^T core_pinv Z S``.  Diagonalizing ``H = V A V^T`` gives the
+    eigenvalues A of ``K_hat`` and orthonormal eigenvectors
+    ``Q U V = cross Z S^{-1} V``, so ``row_map = Z S^{-1} V``.  Singular
+    values ``s <= rel_tol * max(s)`` are dropped, because a centered cross
+    block can be rank-deficient.  Nothing is squared, so small eigenvalues
+    of either sign keep their accuracy.  The signature counts eigenvalues
+    within ``rel_tol * max|A|`` of zero, and the dropped directions, as z.
+    Cost O(N m^2 + m^3).
     """
-    g = f.cross.T @ f.cross
-    mid = f.core_pinv @ g @ f.core_pinv
-    mid = (mid + mid.T) / 2.0
-    u, lam = sym_eig(mid)
-    scale = lam.max() if lam.size else 0.0
-    if scale <= 0.0:
-        return _empty_model(f)
-    keep = lam > rel_tol * scale
-    t1 = u[:, keep] * np.sqrt(lam[keep])  # m x k1, K_hat^2 = (cross@t1)(cross@t1)^T
-    model = _orthonormalize(f.cross, t1, rel_tol, psd=False)
-    if model.values.size == 0:
-        return model
-    c = model.vectors
-    kc = f.cross @ (f.core_pinv @ (f.cross.T @ c))  # K_hat @ C in O(N m k)
-    small = c.T @ kc
-    small = (small + small.T) / 2.0
-    w, sig_vals = sym_eig(small)
-    vectors = c @ w
-    row_map = model.row_map @ w
-    signature = signature_of(sig_vals)
-    signature = Signature(signature.p, signature.q, signature.z + f.m - len(sig_vals))
-    return EigenModel(vectors, sig_vals, signature, row_map)
+    sv, z = _cross_svd(f.cross)
+    keep = sv > rel_tol * sv[0]
+    z, s = z[:, keep], sv[keep]
+    zs = z * s
+    v, values = sym_eig(zs.T @ f.core_pinv @ zs)
+    row_map = (z / s) @ v
+    p, q, _ = signature_of(values, rel_tol)
+    return EigenModel(values, Signature(p, q, f.m - p - q), row_map, sv, f.cross)
 
 
-def _orthonormalize(cross: np.ndarray, t1: np.ndarray, rel_tol: float, psd: bool) -> EigenModel:
-    """Shared tail of the linear-time decompositions.
+def _cross_svd(cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values (descending) and right singular vectors of ``cross``.
 
-    Given ``B = cross @ t1`` with ``target = B B^T``, produce orthonormal
-    ``C = B V A^{-1/2}`` and the eigenvalues A of the target.  Eigenvalues
-    of the squared spectrum below ``rel_tol^2 * max`` are dropped to avoid
-    amplifying noise through the inverse square root.
+    Only the R factor of ``cross = Q R`` is formed, as in TSQR: each block
+    of ``20 m`` rows is reduced to its R, and one more QR of the stacked
+    block Rs gives R.  Short blocks keep the Householder updates in cache,
+    which makes a tall, narrow cross block several times faster to reduce
+    than in one piece.
     """
-    m = cross.shape[1]
-    b = cross @ t1
-    a, v = np.linalg.eigh(b.T @ b)
-    order = np.argsort(a)[::-1]
-    a, v = a[order], v[:, order]
-    amax = a.max() if a.size else 0.0
-    if amax <= 0.0:
-        return EigenModel(
-            np.zeros((cross.shape[0], 0)), np.zeros(0), Signature(0, 0, m), np.zeros((m, 0))
-        )
-    cutoff = (rel_tol * amax) if psd else (rel_tol**2 * amax)
-    keep = a > cutoff
-    t2 = v[:, keep] / np.sqrt(a[keep])
-    vectors = b @ t2
-    row_map = t1 @ t2
-    values = a[keep]
-    sig = Signature(len(values), 0, m - len(values))
-    return EigenModel(vectors, values, sig, row_map)
-
-
-def _empty_model(f: NystromFactors) -> EigenModel:
-    return EigenModel(
-        np.zeros((f.n, 0)), np.zeros(0), Signature(0, 0, f.m), np.zeros((f.m, 0))
-    )
+    n, m = cross.shape
+    step = 20 * m
+    if n > step:
+        cross = np.vstack([np.linalg.qr(cross[i : i + step], mode="r") for i in range(0, n, step)])
+    r = np.linalg.qr(cross, mode="r")
+    _, sv, zt = np.linalg.svd(r, full_matrices=False)
+    return sv, zt.T
 
 
 # factors container: magic "PNF1", kind byte, u64 n and m, landmark indices
@@ -281,6 +253,7 @@ def nystrom_double_center(
     d_core: np.ndarray,
     landmarks: np.ndarray | None = None,
     rel_tol: float = DEFAULT_PINV_TOL,
+    core_pinv: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, CenteringStats]:
     """Center approximated squared dissimilarities at linear cost.
 
@@ -297,6 +270,7 @@ def nystrom_double_center(
     the cross block itself and the column-sum term are exact.  Cost is
     O(N m + m^3).  Returns the two blocks plus the statistics needed to
     center out-of-sample rows with the same fixed training quantities.
+    A caller that already holds ``pinv(d_core)`` passes it as ``core_pinv``.
     """
     d_cross = np.asarray(d_cross, dtype=np.float64)
     d_core = np.asarray(d_core, dtype=np.float64)
@@ -307,7 +281,8 @@ def nystrom_double_center(
         landmarks = np.asarray(landmarks, dtype=np.int64)
         if not np.array_equal(d_cross[landmarks], d_core):
             raise ValueError("landmark rows of d_cross must equal d_core")
-    core_pinv = pinv_sym(d_core, rel_tol)
+    if core_pinv is None:
+        core_pinv = pinv_sym(d_core, rel_tol)
     s = d_cross.sum(axis=0)
     g = float(s @ core_pinv @ s)
     stats = CenteringStats(s=s, g=g, n=n, core_pinv=core_pinv)
@@ -328,4 +303,9 @@ def center_dissimilarity_rows(d_rows: np.ndarray, stats: CenteringStats) -> np.n
         raise ValueError(f"expected rows of width {len(stats.s)}, got shape {d_rows.shape}")
     n = stats.n
     t = d_rows @ (stats.core_pinv @ stats.s)
-    return -0.5 * (d_rows - stats.s[None, :] / n - t[:, None] / n + stats.g / n**2)
+    # in place, so a fit holds one centered N x m block and no temporaries
+    out = d_rows - stats.s[None, :] / n
+    out -= t[:, None] / n
+    out += stats.g / n**2
+    out *= -0.5
+    return out

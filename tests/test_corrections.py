@@ -49,7 +49,7 @@ class TestCorrectEigenvalues:
 def model_for(values, landmarks, mode):
     f = nystrom_factors(np.asarray(values, dtype=float), landmarks, kind=Kind.SIMILARITY)
     eig = nystrom_eig_indefinite(f)
-    return build_corrected_model(eig, f.cross, f.core, landmarks, mode), f
+    return build_corrected_model(eig, landmarks, mode), f
 
 
 class TestBuildCorrectedModel:
@@ -242,6 +242,25 @@ class TestSerialization:
         assert back.stats is None
         assert back.r is None
         assert np.array_equal(back.w_star, model.w_star)
+
+    def test_corrupt_files_raise_data_error(self, tmp_path):
+        from proxkern import DataError
+
+        rng = np.random.default_rng(18)
+        model = fit_corrected_model(random_indefinite_dissimilarity(12, rng), m=4, mode="flip")
+        path = tmp_path / "model.pcm"
+        save_model(model, path)
+        raw = path.read_bytes()
+        bad = [raw[:cut] for cut in range(len(raw))] + [raw + b"\0"]
+        header = 30  # magic, flags, mode and three u64 sizes
+        for landmark in (10**6, int(model.landmarks[1])):  # out of range, repeated
+            corrupt = bytearray(raw)
+            corrupt[header : header + 8] = landmark.to_bytes(8, "little")
+            bad.append(bytes(corrupt))
+        for blob in bad:
+            path.write_bytes(blob)
+            with pytest.raises(DataError):
+                load_model(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.pcm"

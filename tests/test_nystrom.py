@@ -233,6 +233,26 @@ class TestEigIndefinite:
         model = nystrom_eig_indefinite(f)
         assert np.allclose(f.cross @ model.row_map, model.vectors, atol=1e-9)
 
+    @pytest.mark.parametrize("span", [1e-6, 1e-8])
+    def test_spread_spectrum(self, span):
+        """A rank-40 alternating-sign spectrum spanning 1e-6 or 1e-8, with
+        landmarks whose eigenbasis rows are orthogonal, so the core's
+        condition number is exactly 1/span and any error beyond that comes
+        from the decomposition.  Squaring the spectrum loses the small end."""
+        rng = np.random.default_rng(21)
+        blocks = [np.linalg.qr(rng.standard_normal((40, 40)))[0] for _ in range(10)]
+        perm = rng.permutation(400)
+        basis = np.empty((400, 40))
+        basis[perm] = np.vstack(blocks) / np.sqrt(10.0)  # orthonormal columns
+        truth = span ** (np.arange(40) / 39) * (-1.0) ** np.arange(40)
+        lm = np.sort(perm[:40])
+        f = nystrom_factors((basis * truth) @ basis.T, lm, kind=Kind.SIMILARITY, rel_tol=1e-12)
+        model = nystrom_eig_indefinite(f, rel_tol=1e-12)
+        want = np.sort(truth)[::-1]
+        assert len(model.values) == 40
+        assert (np.abs(model.values - want) / np.abs(want)).max() <= 1e-6
+        assert tuple(model.signature) == (20, 20, 0)
+
     def test_ball_signature_matches_dense(self, ball600):
         matrix, _ = ball600
         s = double_center(matrix)
