@@ -8,13 +8,7 @@ eigenvalue correction, with out-of-sample extension and evaluation tools.
 
 __version__ = "0.1.0"
 
-from .baselines import (
-    LmdsEmbedding,
-    dissimilarity_space,
-    lmds_fit,
-    lmds_project,
-    lmds_similarities,
-)
+from .baselines import LmdsEmbedding, lmds_fit, lmds_project
 from .corrections import (
     CorrectedModel,
     build_corrected_model,
@@ -71,12 +65,4 @@ from .nystrom import (
     select_landmarks,
 )
 from .oos import extend_dissimilarities, extend_features, extend_similarities
-from .transforms import (
-    KindMismatchError,
-    PseudoEuclideanEmbedding,
-    double_center,
-    pe_embed,
-    pe_inner,
-    relational_distance,
-    sim_to_dis,
-)
+from .transforms import KindMismatchError, double_center, sim_to_dis

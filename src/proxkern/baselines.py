@@ -1,10 +1,12 @@
-"""Comparison baselines: landmark MDS and the dissimilarity-space features.
+"""Comparison baseline: landmark MDS.
 
 Landmark MDS double-centers only the landmark block, embeds the landmarks
 into the Euclidean span of the positive eigenvalue directions and places
 every other point by triangulating against its landmark distances.  Keeping
 only positive directions is an implicit clip of the spectrum, which is
-exactly what makes it a useful baseline here.
+exactly what makes it a useful baseline here.  The other baseline, the
+dissimilarity space, needs no code: its features are the raw squared
+dissimilarities to the landmarks.
 """
 
 from __future__ import annotations
@@ -56,17 +58,3 @@ def lmds_project(e: LmdsEmbedding, d_new: np.ndarray) -> np.ndarray:
             f"query rows have width {d_new.shape[1]}, embedding has m={len(e.mean_landmark_dissim)}"
         )
     return -0.5 * (d_new - e.mean_landmark_dissim) @ e.projection.T
-
-
-def lmds_similarities(coords_a: np.ndarray, coords_b: np.ndarray) -> np.ndarray:
-    """Similarities as plain dot products between embedded points."""
-    coords_a = np.atleast_2d(np.asarray(coords_a, dtype=np.float64))
-    coords_b = np.atleast_2d(np.asarray(coords_b, dtype=np.float64))
-    if coords_a.shape[1] != coords_b.shape[1]:
-        raise ValueError("embeddings have different dimensions")
-    return coords_a @ coords_b.T
-
-
-def dissimilarity_space(d_cross: np.ndarray) -> np.ndarray:
-    """Each object represented by its raw dissimilarities to the landmark set."""
-    return np.asarray(d_cross, dtype=np.float64)

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import dissimilarity_space, lmds_fit, lmds_project
+from .baselines import lmds_fit, lmds_project
 from .corrections import ILL_CONDITION_LIMIT, fit_corrected_model, load_model, save_model
 from .dataio import (
     DataError,
@@ -113,8 +113,8 @@ def _build_parser() -> _Parser:
 
     extend = sub.add_parser("extend", help="out-of-sample extension")
     extend.add_argument("--model", required=True)
-    extend.add_argument("--in", dest="input", required=True, help="t x m query block (PMX)")
-    extend.add_argument("--out", required=True, help="t x N corrected block (PMX)")
+    extend.add_argument("--in", dest="input", required=True, help="t x m query block (PMB or PMX)")
+    extend.add_argument("--out", required=True, help="t x N corrected block (PMB)")
 
     baseline = sub.add_parser("baseline", help="baseline representations")
     baseline_sub = baseline.add_subparsers(dest="baseline", required=True)
@@ -124,7 +124,7 @@ def _build_parser() -> _Parser:
     lmds.add_argument("--m", type=int, required=True)
     lmds.add_argument("--seed", type=int, default=0)
     lmds.add_argument("--dim", type=int, default=None)
-    lmds.add_argument("--out", required=True, help="N x k coordinates (PMX, sim kind)")
+    lmds.add_argument("--out", required=True, help="N x k coordinates (PMB, sim kind)")
     dspace = baseline_sub.add_parser("dspace", help="dissimilarity-space features")
     dspace.add_argument("--in", dest="input", required=True)
     dspace.add_argument("--kind", choices=sorted(_KINDS))
@@ -170,10 +170,6 @@ def _build_parser() -> _Parser:
     scaling.add_argument("--seed", type=int, default=0)
     scaling.add_argument("--dense-cap", type=int, default=8000)
     scaling.add_argument("--out", default=None)
-
-    parser.add_argument(
-        "--threads", type=int, default=None, help="cap BLAS worker threads (needs threadpoolctl)"
-    )
     return parser
 
 
@@ -295,12 +291,10 @@ def _cmd_baseline(args) -> int:
     if matrix.kind is not Kind.SQUARED_DISSIMILARITY:
         raise DataError("baselines need squared dissimilarity input")
     landmarks = select_landmarks(matrix.n, args.m, args.seed)
-    rows = matrix.values[:, landmarks]
+    features = matrix.values[:, landmarks]
     if args.baseline == "lmds":
         embedding = lmds_fit(matrix.values[np.ix_(landmarks, landmarks)], args.dim)
-        features = lmds_project(embedding, rows)
-    else:
-        features = dissimilarity_space(rows)
+        features = lmds_project(embedding, features)
     write_block(features, args.out, Kind.SIMILARITY)
     _sidecar(args.out, args)
     return 0
@@ -415,13 +409,6 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "threads", None):
-        try:
-            from threadpoolctl import threadpool_limits
-
-            threadpool_limits(limits=args.threads)
-        except ImportError:
-            print("proxkern: --threads ignored (threadpoolctl not installed)", file=sys.stderr)
     try:
         return _COMMANDS[args.command](args)
     except (DataError, FileNotFoundError, ValueError) as exc:

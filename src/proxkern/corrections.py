@@ -9,18 +9,21 @@ landmark proximities, so new objects only need their proximities to the
 landmarks.  For clip and flip the corrected matrix is positive
 semi-definite and ``w_star = R R^T`` provides an explicit feature map
 ``F = cross @ R`` with ``F F^T = S_star``.
+
+``save_model`` and ``load_model`` store a model as a PCM1 file through the
+container reader and writer of ``dataio``, which every binary format of
+the package shares.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import DataError, Kind
+from .dataio import DataError, Kind, checked_landmarks, read_container, write_container
 from .eigencore import DEFAULT_PINV_TOL, pinv_sym
 from .nystrom import (
     CenteringStats,
@@ -243,51 +246,22 @@ def save_model(model: CorrectedModel, path: str | Path) -> None:
         flags |= 2
     if model.ill_conditioned:
         flags |= 4
-    with open(path, "wb") as fh:
-        fh.write(
-            _PCM_HEADER.pack(_PCM_MAGIC, flags, MODES.index(model.mode), model.n, model.m, k)
-        )
-        fh.write(np.ascontiguousarray(model.landmarks, dtype="<u8"))
-        fh.write(np.ascontiguousarray(model.cross, dtype="<f8"))
-        fh.write(np.ascontiguousarray(model.w_star, dtype="<f8"))
-        if model.r is not None:
-            fh.write(np.ascontiguousarray(model.r, dtype="<f8"))
-        if model.stats is not None:
-            fh.write(struct.pack("<Qd", model.stats.n, model.stats.g))
-            fh.write(np.ascontiguousarray(model.stats.s, dtype="<f8"))
-            fh.write(np.ascontiguousarray(model.stats.core_pinv, dtype="<f8"))
+    arrays = [(model.landmarks, "<u8"), (model.cross, "<f8"), (model.w_star, "<f8")]
+    if model.r is not None:
+        arrays.append((model.r, "<f8"))
+    if model.stats is not None:
+        st = model.stats
+        arrays += [([st.n], "<u8"), ([st.g], "<f8"), (st.s, "<f8"), (st.core_pinv, "<f8")]
+    fields = (_PCM_MAGIC, flags, MODES.index(model.mode), model.n, model.m, k)
+    write_container(path, _PCM_HEADER, fields, arrays)
 
 
 def load_model(path: str | Path) -> CorrectedModel:
     """Read a PCM1 model, raising ``DataError`` on any malformed file."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        header = fh.read(_PCM_HEADER.size)
-        if len(header) < _PCM_HEADER.size:
-            raise DataError(f"{path}: truncated PCM header")
-        magic, flags, mode_idx, n, m, k = _PCM_HEADER.unpack(header)
-        if magic != _PCM_MAGIC:
-            raise DataError(f"{path}: bad magic {magic!r}, expected {_PCM_MAGIC!r}")
+    with read_container(path, _PCM_HEADER, _PCM_MAGIC) as ((flags, mode_idx, n, m, k), take):
         if mode_idx >= len(MODES):
             raise DataError(f"{path}: unknown mode byte {mode_idx}")
-        off = _PCM_HEADER.size
-
-        def take(count, dtype):
-            # size check first, so a corrupt header cannot ask for a huge array
-            nonlocal off
-            width = np.dtype(dtype).itemsize * count
-            if off + width > size:
-                raise DataError(f"{path}: truncated PCM payload")
-            out = np.empty(count, dtype=dtype)
-            if fh.readinto(out) != width:
-                raise DataError(f"{path}: truncated PCM payload")
-            off += width
-            return out
-
-        landmarks = take(m, "<u8")
-        if m and (landmarks.max() >= n or len(np.unique(landmarks)) != m):
-            raise DataError(f"{path}: landmark indices must be distinct and below n={n}")
-        landmarks = landmarks.astype(np.int64)
+        landmarks = checked_landmarks(path, take(m, "<u8"), n)
         cross = take(n * m, "<f8").reshape(n, m)
         w_star = take(m * m, "<f8").reshape(m, m)
         r = take(m * k, "<f8").reshape(m, k) if flags & 2 else None
@@ -298,8 +272,6 @@ def load_model(path: str | Path) -> CorrectedModel:
             s = take(m, "<f8")
             core_pinv = take(m * m, "<f8").reshape(m, m)
             stats = CenteringStats(s=s, g=g, n=stats_n, core_pinv=core_pinv)
-        if off != size:
-            raise DataError(f"{path}: {size - off} trailing bytes after the PCM payload")
     return CorrectedModel(
         landmarks=landmarks,
         cross=cross,

@@ -1,12 +1,22 @@
 """Reading, writing and generating proximity matrices.
 
-Two on-disk formats are supported:
+Every binary format of the package is one container layout: a 4-byte
+magic, a fixed little-endian header, then the arrays back to back in
+little-endian order, with no trailing bytes.  ``write_container`` and
+``read_container`` are the only code that packs or parses it; the readers
+check every size against the file length before they allocate, read the
+arrays in place and raise ``DataError`` on any malformed file.  The formats
+kept here are:
 
 PMX (binary)
     magic ``b"PMX1"``, one kind byte (0 = similarity, 1 = squared
-    dissimilarity), an unsigned little-endian 64-bit count ``n``, followed
-    by ``n*n`` little-endian float64 values in row-major order.  The format
-    is bit-exact: a write/read round trip reproduces the array exactly.
+    dissimilarity), an unsigned 64-bit count ``n``, followed by ``n*n``
+    float64 values in row-major order.  The format is bit-exact: a
+    write/read round trip reproduces the array exactly.
+
+PMB (binary)
+    magic ``b"PMB1"``, one kind byte and two u64 dimensions ``rows, cols``,
+    followed by ``rows*cols`` float64 values: query and result blocks.
 
 CSV (text)
     plain comma-separated values with ``.`` as decimal separator, one matrix
@@ -21,7 +31,9 @@ to the contiguous range ``0..C-1`` on load.
 from __future__ import annotations
 
 import enum
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -112,6 +124,62 @@ def _check_finite(a: np.ndarray) -> None:
         raise DataError(f"non-finite entry at {coord}")
 
 
+def write_container(path: str | Path, header: struct.Struct, fields: tuple, arrays) -> None:
+    """Write ``header.pack(*fields)``, then each ``(array, dtype)`` buffer in order."""
+    with open(path, "wb") as fh:
+        fh.write(header.pack(*fields))
+        for array, dtype in arrays:
+            fh.write(np.ascontiguousarray(array, dtype=dtype))
+
+
+@contextmanager
+def read_container(path: str | Path, header: struct.Struct, magic: bytes):
+    """Open a container and yield its header fields after the magic, and ``take``.
+
+    ``take(count, dtype)`` reads the next ``count`` items in place.  It checks
+    their size against the file length before it allocates, so a corrupt
+    header cannot ask for a huge array.  Bytes left over when the block
+    ends are an error.  Every failure raises ``DataError``.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        raw = fh.read(header.size)
+        if raw[:4] != magic:
+            raise DataError(f"{path}: bad magic {raw[:4]!r}, expected {magic!r}")
+        if len(raw) < header.size:
+            raise DataError(f"{path}: truncated {magic.decode()} header")
+        off = header.size
+
+        def take(count: int, dtype: str) -> np.ndarray:
+            nonlocal off
+            width = np.dtype(dtype).itemsize * count
+            if off + width > size:
+                raise DataError(f"{path}: {size} bytes, expected at least {off + width}")
+            out = np.empty(count, dtype=dtype)
+            if fh.readinto(out) != width:
+                raise DataError(f"{path}: short read at byte {off}")
+            off += width
+            return out
+
+        yield header.unpack(raw)[1:], take
+        if off != size:
+            raise DataError(f"{path}: {size - off} trailing bytes after the payload")
+
+
+def checked_kind(path: str | Path, kind_byte: int) -> Kind:
+    """The ``Kind`` a container's kind byte names."""
+    if kind_byte not in (0, 1):
+        raise DataError(f"{path}: unknown kind byte {kind_byte}")
+    return Kind(kind_byte)
+
+
+def checked_landmarks(path: str | Path, landmarks: np.ndarray, n: int) -> np.ndarray:
+    """Stored landmark indices as int64, which must be distinct and below ``n``."""
+    if landmarks.size and (landmarks.max() >= n or len(np.unique(landmarks)) != landmarks.size):
+        raise DataError(f"{path}: landmark indices must be distinct and below n={n}")
+    return landmarks.astype(np.int64)
+
+
 def read_matrix(path: str | Path, fmt: str = "pmx", kind: Kind | None = None) -> ProximityMatrix:
     """Read a proximity matrix from ``path``.
 
@@ -120,7 +188,8 @@ def read_matrix(path: str | Path, fmt: str = "pmx", kind: Kind | None = None) ->
     """
     path = Path(path)
     if fmt == "pmx":
-        return _read_pmx(path)
+        values, kind = _read_grid(path, _PMX_HEADER, _PMX_MAGIC)
+        return ProximityMatrix.from_values(kind, values)
     if fmt == "csv":
         if kind is None:
             raise DataError("CSV files carry no kind flag; pass kind explicitly")
@@ -132,9 +201,7 @@ def write_matrix(m: ProximityMatrix, path: str | Path, fmt: str = "pmx") -> None
     """Write ``m`` to ``path`` in the given format."""
     path = Path(path)
     if fmt == "pmx":
-        with open(path, "wb") as fh:
-            fh.write(_PMX_HEADER.pack(_PMX_MAGIC, m.kind.value, m.n))
-            fh.write(np.ascontiguousarray(m.values, dtype="<f8").tobytes())
+        write_container(path, _PMX_HEADER, (_PMX_MAGIC, m.kind.value, m.n), [(m.values, "<f8")])
     elif fmt == "csv":
         with open(path, "w") as fh:
             for row in m.values:
@@ -144,20 +211,13 @@ def write_matrix(m: ProximityMatrix, path: str | Path, fmt: str = "pmx") -> None
         raise DataError(f"unknown matrix format {fmt!r}")
 
 
-def _read_pmx(path: Path) -> ProximityMatrix:
-    raw = path.read_bytes()
-    if len(raw) < _PMX_HEADER.size:
-        raise DataError(f"{path}: truncated PMX header")
-    magic, kind_byte, n = _PMX_HEADER.unpack_from(raw)
-    if magic != _PMX_MAGIC:
-        raise DataError(f"{path}: bad magic {magic!r}, expected {_PMX_MAGIC!r}")
-    if kind_byte not in (0, 1):
-        raise DataError(f"{path}: unknown kind byte {kind_byte}")
-    expect = _PMX_HEADER.size + 8 * n * n
-    if len(raw) != expect:
-        raise DataError(f"{path}: payload is {len(raw)} bytes, expected {expect}")
-    values = np.frombuffer(raw, dtype="<f8", offset=_PMX_HEADER.size).reshape(n, n)
-    return ProximityMatrix.from_values(Kind(kind_byte), values.copy())
+def _read_grid(path: Path, header: struct.Struct, magic: bytes) -> tuple[np.ndarray, Kind]:
+    """The float64 payload of a PMX or PMB file as stored, and its kind."""
+    with read_container(path, header, magic) as ((kind_byte, *dims), take):
+        kind = checked_kind(path, kind_byte)
+        shape = dims * 2 if len(dims) == 1 else dims
+        values = take(shape[0] * shape[1], "<f8").reshape(shape)
+    return values, kind
 
 
 def _read_csv(path: Path, kind: Kind) -> ProximityMatrix:
@@ -194,31 +254,22 @@ def _parses(s: str) -> bool:
 def write_block(block: np.ndarray, path: str | Path, kind: Kind = Kind.SIMILARITY) -> None:
     """Write a rectangular block in the PMB format (PMX with two dimensions)."""
     block = np.atleast_2d(np.asarray(block, dtype=np.float64))
-    with open(path, "wb") as fh:
-        fh.write(_PMB_HEADER.pack(_PMB_MAGIC, kind.value, block.shape[0], block.shape[1]))
-        fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+    rows, cols = block.shape
+    write_container(path, _PMB_HEADER, (_PMB_MAGIC, kind.value, rows, cols), [(block, "<f8")])
 
 
 def read_block(path: str | Path) -> tuple[np.ndarray, Kind]:
-    """Read a rectangular PMB block; also accepts square PMX files."""
-    path = Path(path)
-    raw = path.read_bytes()
-    if raw[:4] == _PMX_MAGIC:
-        m = _read_pmx(path)
-        return m.values, m.kind
-    if len(raw) < _PMB_HEADER.size:
-        raise DataError(f"{path}: truncated PMB header")
-    magic, kind_byte, rows, cols = _PMB_HEADER.unpack_from(raw)
-    if magic != _PMB_MAGIC:
-        raise DataError(f"{path}: bad magic {magic!r}, expected {_PMB_MAGIC!r} or {_PMX_MAGIC!r}")
-    if kind_byte not in (0, 1):
-        raise DataError(f"{path}: unknown kind byte {kind_byte}")
-    expect = _PMB_HEADER.size + 8 * rows * cols
-    if len(raw) != expect:
-        raise DataError(f"{path}: payload is {len(raw)} bytes, expected {expect}")
-    block = np.frombuffer(raw, dtype="<f8", offset=_PMB_HEADER.size).reshape(rows, cols)
+    """Read a rectangular PMB block, or the payload of a PMX file as stored.
+
+    A query block is not a proximity matrix, so a square PMX payload is
+    neither symmetrized nor checked as one; only finiteness is checked.
+    """
+    with open(path, "rb") as fh:
+        square = fh.read(4) == _PMX_MAGIC
+    header, magic = (_PMX_HEADER, _PMX_MAGIC) if square else (_PMB_HEADER, _PMB_MAGIC)
+    block, kind = _read_grid(path, header, magic)
     _check_finite(block)
-    return block.copy(), Kind(kind_byte)
+    return block, kind
 
 
 def read_labels(path: str | Path) -> np.ndarray:

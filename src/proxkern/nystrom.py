@@ -24,7 +24,15 @@ from typing import Callable
 
 import numpy as np
 
-from .dataio import DataError, Kind, ProximityMatrix
+from .dataio import (
+    DataError,
+    Kind,
+    ProximityMatrix,
+    checked_kind,
+    checked_landmarks,
+    read_container,
+    write_container,
+)
 from .eigencore import DEFAULT_PINV_TOL, Signature, pinv_sym, signature_of, sym_eig
 
 
@@ -222,30 +230,18 @@ _PNF_HEADER = struct.Struct("<4sBQQ")
 
 
 def save_factors(f: NystromFactors, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_PNF_HEADER.pack(_PNF_MAGIC, f.kind.value, f.n, f.m))
-        fh.write(np.ascontiguousarray(f.landmarks, dtype="<u8").tobytes())
-        fh.write(np.ascontiguousarray(f.cross, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(f.core, dtype="<f8").tobytes())
+    arrays = [(f.landmarks, "<u8"), (f.cross, "<f8"), (f.core, "<f8")]
+    write_container(path, _PNF_HEADER, (_PNF_MAGIC, f.kind.value, f.n, f.m), arrays)
 
 
 def load_factors(path, rel_tol: float = DEFAULT_PINV_TOL) -> NystromFactors:
-    raw = open(path, "rb").read()
-    if len(raw) < _PNF_HEADER.size:
-        raise DataError(f"{path}: truncated factors header")
-    magic, kind_byte, n, m = _PNF_HEADER.unpack_from(raw)
-    if magic != _PNF_MAGIC:
-        raise DataError(f"{path}: bad magic {magic!r}, expected {_PNF_MAGIC!r}")
-    expect = _PNF_HEADER.size + 8 * (m + n * m + m * m)
-    if len(raw) != expect:
-        raise DataError(f"{path}: payload is {len(raw)} bytes, expected {expect}")
-    off = _PNF_HEADER.size
-    landmarks = np.frombuffer(raw, dtype="<u8", count=m, offset=off).astype(np.int64)
-    off += 8 * m
-    cross = np.frombuffer(raw, dtype="<f8", count=n * m, offset=off).reshape(n, m).copy()
-    off += 8 * n * m
-    core = np.frombuffer(raw, dtype="<f8", count=m * m, offset=off).reshape(m, m).copy()
-    return NystromFactors(Kind(kind_byte), landmarks, cross, core, pinv_sym(core, rel_tol))
+    """Read a PNF file, raising ``DataError`` on any malformed file."""
+    with read_container(path, _PNF_HEADER, _PNF_MAGIC) as ((kind_byte, n, m), take):
+        kind = checked_kind(path, kind_byte)
+        landmarks = checked_landmarks(path, take(m, "<u8"), n)
+        cross = take(n * m, "<f8").reshape(n, m)
+        core = take(m * m, "<f8").reshape(m, m)
+    return NystromFactors(kind, landmarks, cross, core, pinv_sym(core, rel_tol))
 
 
 def nystrom_double_center(

@@ -1,7 +1,9 @@
 """Dense conversions between squared dissimilarities and similarities.
 
-These are the exact O(N^2)/O(N^3) reference transformations; the landmark
-module reproduces them at linear cost.  Centering uses the expanded form
+``double_center`` and ``sim_to_dis`` are the exact O(N^2) reference
+transformations that the landmark pipeline reproduces at linear cost; the
+dense baseline, the CLI's ``convert`` and the tests use them.  Centering
+uses the expanded form
 
     S = -0.5 * (D - r 1^T / N - 1 r^T / N + g 11^T / N^2),   r = D 1,  g = 1^T r
 
@@ -10,12 +12,9 @@ which avoids materializing the centering projector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataio import Kind, ProximityMatrix
-from .eigencore import Signature, signature_of, sym_eig
 
 # negative entries no larger than this (relative) are treated as round-off in sim_to_dis
 CLAMP_TOL = 1e-9
@@ -23,14 +22,6 @@ CLAMP_TOL = 1e-9
 
 class KindMismatchError(TypeError):
     """Operation applied to a proximity matrix of the wrong kind."""
-
-
-@dataclass
-class PseudoEuclideanEmbedding:
-    """Vector representation in R^(p,q): p positive directions, then q negative."""
-
-    coords: np.ndarray  # N x (p+q)
-    signature: Signature
 
 
 def double_center(d: ProximityMatrix) -> np.ndarray:
@@ -71,47 +62,3 @@ def sim_to_dis(s: np.ndarray) -> np.ndarray:
     np.clip(d, 0.0, None, out=d)
     np.fill_diagonal(d, 0.0)
     return (d + d.T) / 2.0
-
-
-def pe_embed(s: np.ndarray, rel_tol: float | None = None) -> PseudoEuclideanEmbedding:
-    """Embed a symmetric similarity matrix into a pseudo-Euclidean space.
-
-    Columns are ``u_i * sqrt(|lambda_i|)`` for the p positive eigenvalue
-    directions followed by the q negative ones; near-zero directions are
-    dropped according to the signature tolerance.
-    """
-    vectors, values = sym_eig(s)
-    sig = signature_of(values, rel_tol)
-    pos = vectors[:, : sig.p] * np.sqrt(values[: sig.p])
-    if sig.q:
-        neg_vals = values[len(values) - sig.q :]
-        neg = vectors[:, len(values) - sig.q :] * np.sqrt(-neg_vals)
-        # most negative last, so reverse to put the strongest negative first
-        neg = neg[:, ::-1]
-    else:
-        neg = np.zeros((vectors.shape[0], 0))
-    return PseudoEuclideanEmbedding(np.hstack([pos, neg]), sig)
-
-
-def pe_inner(x: np.ndarray, y: np.ndarray, sig: Signature) -> float:
-    """Indefinite inner product: positive on the first p axes, negative on the next q."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1 or len(x) != sig.p + sig.q:
-        raise ValueError(f"vectors must both have length p+q={sig.p + sig.q}")
-    return float(x[: sig.p] @ y[: sig.p] - x[sig.p :] @ y[sig.p :])
-
-
-def relational_distance(d: ProximityMatrix, alpha: np.ndarray, i: int) -> float:
-    """Squared distance between point i and the convex combination ``alpha``.
-
-    Computed implicitly from the dissimilarity matrix as
-    ``[D alpha]_i - 0.5 * alpha^T D alpha``; ``alpha`` must sum to one.
-    """
-    if d.kind is not Kind.SQUARED_DISSIMILARITY:
-        raise KindMismatchError("relational_distance expects a squared dissimilarity matrix")
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if abs(alpha.sum() - 1.0) > 1e-12:
-        raise ValueError(f"weights must sum to 1, got {alpha.sum()}")
-    da = d.values @ alpha
-    return float(da[i] - 0.5 * (alpha @ da))

@@ -4,12 +4,10 @@ import pytest
 from proxkern import (
     Kind,
     ProximityMatrix,
-    dissimilarity_space,
     double_center,
     fit_corrected_model,
     lmds_fit,
     lmds_project,
-    lmds_similarities,
     sim_to_dis,
 )
 
@@ -85,36 +83,13 @@ class TestLmdsProject:
 
 
 class TestLmdsSimilarities:
-    def test_identical_unit_vectors(self):
-        v = np.array([[1.0, 0.0]])
-        assert lmds_similarities(v, v)[0, 0] == 1.0
-
-    def test_orthogonal(self):
-        a = np.array([[1.0, 0.0]])
-        b = np.array([[0.0, 1.0]])
-        assert lmds_similarities(a, b)[0, 0] == 0.0
-
     def test_full_landmarks_match_double_centering(self):
         rng = np.random.default_rng(4)
         d = random_squared_dissimilarity(15, rng, dim=3)
         emb = lmds_fit(d.values)
-        sims = lmds_similarities(emb.landmark_coords, emb.landmark_coords)
+        sims = emb.landmark_coords @ emb.landmark_coords.T
         dense = double_center(d)
         assert np.abs(sims - dense).max() <= 1e-6 * np.abs(dense).max()
-
-
-class TestDissimilaritySpace:
-    def test_identity_on_block(self):
-        block = np.arange(6.0).reshape(3, 2)
-        assert np.array_equal(dissimilarity_space(block), block)
-
-    def test_landmark_row_has_zero_self_entry(self):
-        rng = np.random.default_rng(5)
-        d = random_squared_dissimilarity(10, rng)
-        landmarks = np.array([1, 4, 7])
-        features = dissimilarity_space(d.values[:, landmarks])
-        for pos, lm in enumerate(landmarks):
-            assert features[lm, pos] == 0.0
 
 
 class TestAgreementWithCorrectedPipeline:
@@ -134,7 +109,7 @@ class TestAgreementWithCorrectedPipeline:
 
         emb = lmds_fit(d_full[np.ix_(landmarks, landmarks)])
         coords = lmds_project(emb, d_full[:, landmarks])
-        sims = lmds_similarities(coords, coords)
+        sims = coords @ coords.T
         d_lmds = sim_to_dis(sims)
         assert np.abs(d_corrected - d_lmds).max() <= 1e-5 * d_full.max()
 
@@ -149,7 +124,7 @@ class TestAgreementWithCorrectedPipeline:
         model = fit_corrected_model(d, landmarks=landmarks, mode="clip")
         corrected = model.cross @ model.w_star @ model.cross.T
         emb = lmds_fit(d_full)
-        sims = lmds_similarities(emb.landmark_coords, emb.landmark_coords)
+        sims = emb.landmark_coords @ emb.landmark_coords.T
         assert np.abs(corrected - sims).max() <= 1e-5 * np.abs(sims).max()
 
     def test_ball_data_flip_differs_from_lmds(self, ball600):
@@ -165,6 +140,6 @@ class TestAgreementWithCorrectedPipeline:
             model.cross[landmarks] @ model.w_star @ model.cross[landmarks].T
         )
         emb = lmds_fit(d_core)
-        lmds_core = lmds_similarities(emb.landmark_coords, emb.landmark_coords)
+        lmds_core = emb.landmark_coords @ emb.landmark_coords.T
         rel = np.linalg.norm(flip_core - lmds_core) / np.linalg.norm(flip_core)
         assert rel > 0.10

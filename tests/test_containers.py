@@ -1,0 +1,147 @@
+"""Binary containers: golden-file byte identity and corrupt-file rejection.
+
+The files under ``tests/data`` were written from the hand-built arrays below
+by the format writers as they stood before PMX, PMB, PNF and PCM shared one
+container reader and writer.  Rewriting them must give the same bytes, and
+reading them must give back the same arrays.  The arrays come from
+``np.arange`` and exact divisions, never from a fit, so no BLAS routine can
+change a byte.
+"""
+
+from dataclasses import fields, is_dataclass
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from proxkern import (
+    CenteringStats,
+    CorrectedModel,
+    DataError,
+    Kind,
+    NystromFactors,
+    ProximityMatrix,
+    load_factors,
+    load_model,
+    pinv_sym,
+    read_block,
+    read_matrix,
+    save_factors,
+    save_model,
+    write_block,
+    write_matrix,
+)
+from proxkern.corrections import MODES
+
+DATA = Path(__file__).parent / "data"
+
+
+def grid(rows: int, cols: int) -> np.ndarray:
+    return np.arange(rows * cols, dtype=np.float64).reshape(rows, cols) / 7.0
+
+
+def symmetric(n: int) -> np.ndarray:
+    a = grid(n, n)
+    return a + a.T
+
+
+def factors(kind: Kind) -> NystromFactors:
+    landmarks = np.array([1, 3])
+    s = symmetric(5)
+    core = s[np.ix_(landmarks, landmarks)]
+    return NystromFactors(kind, landmarks, s[:, landmarks], core, pinv_sym(core))
+
+
+def model(mode: str, with_stats: bool) -> CorrectedModel:
+    stats = None
+    if with_stats:
+        stats = CenteringStats(s=grid(1, 2)[0] + 1.0, g=2.5, n=5, core_pinv=symmetric(2) / 3.0)
+    return CorrectedModel(
+        landmarks=np.array([0, 3]),
+        cross=grid(5, 2) - 0.5,
+        w_star=symmetric(2),
+        mode=mode,
+        r=grid(2, 1) + 1.0 if mode in ("clip", "flip") else None,
+        stats=stats,
+        ill_conditioned=mode == "shift",
+    )
+
+
+def write_pmx(matrix, path):
+    write_matrix(matrix, path, "pmx")
+
+
+def read_pmx(path):
+    return read_matrix(path, "pmx")
+
+
+def write_pmb(block, path):
+    write_block(block[0], path, block[1])
+
+
+# golden file name -> (object, writer, reader)
+CASES = {
+    "similarity.pmx": (ProximityMatrix(Kind.SIMILARITY, symmetric(4)), write_pmx, read_pmx),
+    "dissimilarity.pmx": (
+        ProximityMatrix(Kind.SQUARED_DISSIMILARITY, np.subtract.outer(np.arange(3.0), np.arange(3.0)) ** 2 / 3.0),
+        write_pmx,
+        read_pmx,
+    ),
+    "block.pmb": ((grid(3, 5), Kind.SQUARED_DISSIMILARITY), write_pmb, read_block),
+    "similarity.pnf": (factors(Kind.SIMILARITY), save_factors, load_factors),
+    "dissimilarity.pnf": (factors(Kind.SQUARED_DISSIMILARITY), save_factors, load_factors),
+}
+for _mode in MODES:
+    CASES[f"{_mode}.pcm"] = (model(_mode, False), save_model, load_model)
+    CASES[f"{_mode}-stats.pcm"] = (model(_mode, True), save_model, load_model)
+
+
+def assert_same(got, want):
+    if is_dataclass(want):
+        assert type(got) is type(want)
+        for f in fields(want):
+            assert_same(getattr(got, f.name), getattr(want, f.name))
+    elif isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same(g, w)
+    elif isinstance(want, np.ndarray):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_bytes_and_arrays(name, tmp_path):
+    obj, write, read = CASES[name]
+    path = tmp_path / name
+    write(obj, path)
+    assert path.read_bytes() == (DATA / name).read_bytes()
+    assert_same(read(DATA / name), obj)
+
+
+# the kind byte follows the 4-byte magic; PNF landmarks follow its 21-byte header
+KIND_OFFSET = 4
+PNF_LANDMARKS = 21
+
+
+@pytest.mark.parametrize("name", ["dissimilarity.pmx", "block.pmb", "dissimilarity.pnf"])
+def test_corrupt_files_raise_data_error(name, tmp_path):
+    _, _, read = CASES[name]
+    raw = (DATA / name).read_bytes()
+    bad = [raw[:cut] for cut in range(len(raw))] + [raw + b"\0"]
+    kind = bytearray(raw)
+    kind[KIND_OFFSET] = 7
+    bad.append(bytes(kind))
+    if name.endswith(".pnf"):
+        repeated = raw[PNF_LANDMARKS + 8 : PNF_LANDMARKS + 16]
+        for landmark in ((10**6).to_bytes(8, "little"), repeated):  # out of range, repeated
+            corrupt = bytearray(raw)
+            corrupt[PNF_LANDMARKS : PNF_LANDMARKS + 8] = landmark
+            bad.append(bytes(corrupt))
+    path = tmp_path / name
+    for blob in bad:
+        path.write_bytes(blob)
+        with pytest.raises(DataError):
+            read(path)

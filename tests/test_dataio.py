@@ -145,6 +145,28 @@ class TestBlocks:
         back, kind = read_block(path)
         assert np.array_equal(back, np.eye(2))
 
+    def test_square_pmx_block_is_not_symmetrized(self, tmp_path):
+        block = np.arange(9, dtype=float).reshape(3, 3)
+        path = tmp_path / "q.pmx"
+        write_matrix(ProximityMatrix(Kind.SIMILARITY, block), path, "pmx")
+        back, _ = read_block(path)
+        assert np.array_equal(back, block)
+
+    def test_square_pmx_block_skips_matrix_checks(self, tmp_path):
+        # a squared-dissimilarity query block may have a nonzero diagonal
+        block = np.array([[1.0, 2.0], [3.0, 4.0]])
+        path = tmp_path / "q.pmx"
+        path.write_bytes(b"PMX1\x01" + (2).to_bytes(8, "little") + block.astype("<f8").tobytes())
+        back, kind = read_block(path)
+        assert kind is Kind.SQUARED_DISSIMILARITY
+        assert np.array_equal(back, block)
+
+    def test_non_finite_block_rejected(self, tmp_path):
+        path = tmp_path / "b.pmb"
+        write_block(np.array([[1.0, np.nan]]), path)
+        with pytest.raises(DataError, match=r"\(0, 1\)"):
+            read_block(path)
+
 
 class TestMatrixInvariants:
     def test_dissimilarity_rejects_nonzero_diagonal(self):

@@ -6,13 +6,10 @@ from proxkern import (
     KindMismatchError,
     ProximityMatrix,
     double_center,
-    pe_embed,
-    pe_inner,
-    relational_distance,
     sim_to_dis,
 )
 
-from conftest import random_indefinite_dissimilarity, random_squared_dissimilarity
+from conftest import random_squared_dissimilarity
 
 
 def dis(values) -> ProximityMatrix:
@@ -63,92 +60,3 @@ class TestSimToDis:
         s = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="negative"):
             sim_to_dis(s)
-
-
-class TestPseudoEuclidean:
-    def test_rank_one_embedding(self):
-        x = np.array([1.0, 2.0])
-        emb = pe_embed(np.outer(x, x))
-        assert emb.signature == (1, 0, 1)
-        coords = emb.coords[:, 0]
-        assert np.allclose(np.abs(coords), np.abs(x))
-
-    def test_two_point_distance(self):
-        s = double_center(dis([[0.0, 2.0], [2.0, 0.0]]))
-        emb = pe_embed(s)
-        assert emb.coords.shape[1] == 1
-        diff = emb.coords[0] - emb.coords[1]
-        assert pe_inner(diff, diff, emb.signature) == pytest.approx(2.0)
-
-    def test_psd_reduces_to_euclidean(self):
-        rng = np.random.default_rng(2)
-        d = random_squared_dissimilarity(12, rng)
-        emb = pe_embed(double_center(d))
-        assert emb.signature.q == 0
-
-    def test_reconstructs_dissimilarities(self):
-        rng = np.random.default_rng(3)
-        d = random_indefinite_dissimilarity(15, rng)
-        emb = pe_embed(double_center(d))
-        assert emb.signature.q > 0
-        values = d.values
-        for i in range(15):
-            for j in range(15):
-                diff = emb.coords[i] - emb.coords[j]
-                got = pe_inner(diff, diff, emb.signature)
-                assert abs(got - values[i, j]) <= 1e-8 * values.max()
-
-
-class TestPeInner:
-    def test_cancellation(self):
-        from proxkern import Signature
-
-        sig = Signature(1, 1, 0)
-        assert pe_inner(np.array([1.0, 1.0]), np.array([1.0, 1.0]), sig) == 0.0
-
-    def test_positive_part(self):
-        from proxkern import Signature
-
-        sig = Signature(1, 1, 0)
-        assert pe_inner(np.array([2.0, 0.0]), np.array([3.0, 0.0]), sig) == 6.0
-
-    def test_negative_part(self):
-        from proxkern import Signature
-
-        sig = Signature(1, 1, 0)
-        assert pe_inner(np.array([0.0, 2.0]), np.array([0.0, 3.0]), sig) == -6.0
-
-    def test_dimension_mismatch(self):
-        from proxkern import Signature
-
-        with pytest.raises(ValueError):
-            pe_inner(np.array([1.0]), np.array([1.0]), Signature(1, 1, 0))
-
-
-class TestRelationalDistance:
-    def test_one_hot_recovers_entries(self):
-        rng = np.random.default_rng(4)
-        d = random_squared_dissimilarity(10, rng)
-        for i in range(10):
-            for j in range(10):
-                alpha = np.zeros(10)
-                alpha[j] = 1.0
-                assert relational_distance(d, alpha, i) == pytest.approx(d.values[i, j])
-
-    def test_self_distance_zero(self):
-        rng = np.random.default_rng(5)
-        d = random_squared_dissimilarity(6, rng)
-        alpha = np.zeros(6)
-        alpha[2] = 1.0
-        assert relational_distance(d, alpha, 2) == pytest.approx(0.0)
-
-    def test_hand_example(self):
-        d = dis([[0.0, 2.0], [2.0, 0.0]])
-        value = relational_distance(d, np.array([0.5, 0.5]), 0)
-        # [D alpha]_0 = 1, alpha^T D alpha / 2 = 0.5
-        assert value == pytest.approx(0.5)
-
-    def test_weight_sum_enforced(self):
-        d = dis([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(ValueError, match="sum"):
-            relational_distance(d, np.array([0.5, 0.6]), 0)
