@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import lmds_fit, lmds_project
-from .corrections import ILL_CONDITION_LIMIT, fit_corrected_model, load_model, save_model
+from .corrections import ILL_CONDITION_LIMIT, MODES, fit_corrected_model, load_model, save_model
 from .dataio import (
     DataError,
     Kind,
@@ -106,9 +106,8 @@ def _build_parser() -> _Parser:
     correct.add_argument("--in", dest="input", required=True)
     correct.add_argument("--kind", choices=sorted(_KINDS))
     correct.add_argument("--m", type=int, default=None, help="landmarks (default: all rows)")
-    correct.add_argument("--mode", choices=["clip", "flip", "shift", "none"], default="flip")
+    correct.add_argument("--mode", choices=MODES, default="flip")
     correct.add_argument("--seed", type=int, default=0)
-    correct.add_argument("--tol", type=float, default=1e-12)
     correct.add_argument("--out", required=True, help="model file (PCM)")
 
     extend = sub.add_parser("extend", help="out-of-sample extension")
@@ -130,7 +129,7 @@ def _build_parser() -> _Parser:
     dspace.add_argument("--kind", choices=sorted(_KINDS))
     dspace.add_argument("--m", type=int, required=True)
     dspace.add_argument("--seed", type=int, default=0)
-    dspace.add_argument("--out", required=True)
+    dspace.add_argument("--out", required=True, help="N x m raw columns (PMB, dis kind)")
 
     evaluate = sub.add_parser("eval", help="experiments")
     eval_sub = evaluate.add_subparsers(dest="experiment", required=True)
@@ -139,7 +138,7 @@ def _build_parser() -> _Parser:
     cv.add_argument("--kind", choices=sorted(_KINDS))
     cv.add_argument("--labels", required=True)
     cv.add_argument("--m", type=int, required=True)
-    cv.add_argument("--mode", choices=["clip", "flip", "shift", "none"], default="flip")
+    cv.add_argument("--mode", choices=MODES, default="flip")
     cv.add_argument("--method", choices=["corrected", "lmds", "dspace"], default="corrected")
     cv.add_argument("--lam", type=float, default=None)
     cv.add_argument("--folds", type=int, default=10)
@@ -150,7 +149,7 @@ def _build_parser() -> _Parser:
     fidelity.add_argument("--in", dest="input", required=True)
     fidelity.add_argument("--kind", choices=sorted(_KINDS))
     fidelity.add_argument("--m", type=int, required=True, action="append")
-    fidelity.add_argument("--mode", choices=["clip", "flip", "shift", "none"], default="flip")
+    fidelity.add_argument("--mode", choices=MODES, default="flip")
     fidelity.add_argument("--pairs", type=int, default=None)
     fidelity.add_argument("--seed", type=int, default=0)
     fidelity.add_argument("--out", default=None)
@@ -166,7 +165,7 @@ def _build_parser() -> _Parser:
     scaling = bench_sub.add_parser("scaling", help="runtime scaling in the sample count")
     scaling.add_argument("--n", type=int, action="append", required=True)
     scaling.add_argument("--m", type=int, default=500)
-    scaling.add_argument("--mode", choices=["clip", "flip", "shift", "none"], default="flip")
+    scaling.add_argument("--mode", choices=MODES, default="flip")
     scaling.add_argument("--seed", type=int, default=0)
     scaling.add_argument("--dense-cap", type=int, default=8000)
     scaling.add_argument("--out", default=None)
@@ -180,11 +179,17 @@ def _load(path: str, kind_flag: str | None) -> ProximityMatrix:
     if p.suffix.lower() == ".csv":
         if kind_flag is None:
             raise DataError("CSV input needs --kind {sim,dis}")
-        return read_matrix(p, "csv", _KINDS[kind_flag])
-    matrix = read_matrix(p, "pmx")
-    if kind_flag is not None and _KINDS[kind_flag] is not matrix.kind:
-        raise DataError(
-            f"--kind {kind_flag} contradicts the PMX header ({matrix.kind.name.lower()})"
+        matrix = read_matrix(p, "csv", _KINDS[kind_flag])
+    else:
+        matrix = read_matrix(p, "pmx")
+        if kind_flag is not None and _KINDS[kind_flag] is not matrix.kind:
+            raise DataError(
+                f"--kind {kind_flag} contradicts the PMX header ({matrix.kind.name.lower()})"
+            )
+    if matrix.asymmetric:
+        print(
+            f"warning: {p} is not symmetric; it was symmetrized as (A + A^T) / 2",
+            file=sys.stderr,
         )
     return matrix
 
@@ -257,9 +262,7 @@ def _cmd_approximate(args) -> int:
 def _cmd_correct(args) -> int:
     matrix = _load(args.input, args.kind)
     m = args.m if args.m is not None else matrix.n
-    model = fit_corrected_model(
-        matrix, kind=matrix.kind, m=m, mode=args.mode, seed=args.seed, rel_tol=args.tol
-    )
+    model = fit_corrected_model(matrix, kind=matrix.kind, m=m, mode=args.mode, seed=args.seed)
     save_model(model, args.out)
     _sidecar(args.out, args)
     if model.ill_conditioned:
@@ -292,10 +295,12 @@ def _cmd_baseline(args) -> int:
         raise DataError("baselines need squared dissimilarity input")
     landmarks = select_landmarks(matrix.n, args.m, args.seed)
     features = matrix.values[:, landmarks]
+    kind = Kind.SQUARED_DISSIMILARITY
     if args.baseline == "lmds":
         embedding = lmds_fit(matrix.values[np.ix_(landmarks, landmarks)], args.dim)
         features = lmds_project(embedding, features)
-    write_block(features, args.out, Kind.SIMILARITY)
+        kind = Kind.SIMILARITY
+    write_block(features, args.out, kind)
     _sidecar(args.out, args)
     return 0
 

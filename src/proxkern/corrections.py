@@ -10,6 +10,13 @@ landmarks.  For clip and flip the corrected matrix is positive
 semi-definite and ``w_star = R R^T`` provides an explicit feature map
 ``F = cross @ R`` with ``F F^T = S_star``.
 
+There is one fit path: ``fit_corrected_model`` draws the landmarks and
+builds the factors, and ``fit_corrected_model_from_factors`` runs the
+stages that follow (centering, eigendecomposition, model build).  The
+library, the CLI, cross-validation and the scaling benchmark all call it.
+Every cut of a small eigenvalue or singular value is relative, at
+``DEFAULT_PINV_TOL``.
+
 ``save_model`` and ``load_model`` store a model as a PCM1 file through the
 container reader and writer of ``dataio``, which every binary format of
 the package shares.
@@ -90,7 +97,6 @@ def build_corrected_model(
     landmarks: np.ndarray,
     mode: str,
     stats: CenteringStats | None = None,
-    rel_tol: float = DEFAULT_PINV_TOL,
 ) -> CorrectedModel:
     """Assemble a corrected model from an eigendecomposition of its blocks.
 
@@ -102,7 +108,7 @@ def build_corrected_model(
 
     The same factored form gives the feature factor ``R = T sqrt(A*)`` over
     the positive corrected eigenvalues; it is None when one is below
-    ``-rel_tol * max|A*|``.  The model is flagged ill-conditioned when the
+    ``-DEFAULT_PINV_TOL * max|A*|``.  The model is flagged ill-conditioned when the
     cross block's singular values span more than ``ILL_CONDITION_LIMIT``.
     """
     if mode not in MODES:
@@ -112,8 +118,8 @@ def build_corrected_model(
     w_star = (w_star + w_star.T) / 2.0
     scale = np.abs(a_star).max() if a_star.size else 0.0
     r = None
-    if not (a_star < -rel_tol * scale).any():
-        kept = a_star > rel_tol * scale
+    if not (a_star < -DEFAULT_PINV_TOL * scale).any():
+        kept = a_star > DEFAULT_PINV_TOL * scale
         r = eig.row_map[:, kept] * np.sqrt(a_star[kept])
     sv = eig.cross_sv
     ill = bool(sv.size and sv[0] > ILL_CONDITION_LIMIT * sv[-1])
@@ -174,51 +180,38 @@ def fit_corrected_model(
     mode: str = "flip",
     seed: int = 0,
     landmarks: np.ndarray | None = None,
-    rel_tol: float = DEFAULT_PINV_TOL,
 ) -> CorrectedModel:
     """End-to-end pipeline: landmarks, factorization, centering, correction.
 
-    For squared dissimilarities the raw blocks are centered first via
-    ``nystrom_double_center`` and the centering statistics travel with the
-    model so new dissimilarity rows can be extended later.  For similarities
-    the raw blocks are corrected directly.  Total cost O(N m^2 + m^3).
+    ``source`` and ``kind`` go to ``nystrom_factors`` unchanged; without an
+    explicit landmark list, ``m`` landmarks are drawn with ``seed``.  The
+    factors are then corrected by ``fit_corrected_model_from_factors``, the
+    one sequence of fit stages.  Total cost O(N m^2 + m^3).
     """
-    oracle = as_row_oracle(source)
-    if kind is None:
-        kind = source.kind if hasattr(source, "kind") else Kind.SIMILARITY
     if landmarks is None:
         if m is None:
             raise ValueError("pass either m or an explicit landmark list")
-        landmarks = select_landmarks(oracle.n, m, seed)
-    factors = nystrom_factors(oracle, landmarks, kind=kind, rel_tol=rel_tol)
-    return fit_corrected_model_from_factors(factors, mode, rel_tol=rel_tol)
+        landmarks = select_landmarks(as_row_oracle(source).n, m, seed)
+    # no local holds the factors, so a raw dissimilarity block is freed once centered
+    return fit_corrected_model_from_factors(nystrom_factors(source, landmarks, kind=kind), mode)
 
 
-def fit_corrected_model_from_factors(
-    factors: NystromFactors, mode: str, rel_tol: float = DEFAULT_PINV_TOL
-) -> CorrectedModel:
-    """Correct pre-built landmark factors (dissimilarities are centered first)."""
-    sim, stats = similarity_factors(factors, rel_tol)
-    eig = nystrom_eig_indefinite(sim, rel_tol=rel_tol)
-    return build_corrected_model(eig, factors.landmarks, mode, stats=stats, rel_tol=rel_tol)
+def fit_corrected_model_from_factors(factors: NystromFactors, mode: str) -> CorrectedModel:
+    """Correct landmark factors: centering, eigendecomposition, model build.
 
-
-def similarity_factors(
-    factors: NystromFactors, rel_tol: float = DEFAULT_PINV_TOL
-) -> tuple[NystromFactors, CenteringStats | None]:
-    """Similarity blocks of the factors and, for dissimilarities, their centering.
-
-    Squared dissimilarities are double centered with the factors' own core
-    pseudo-inverse, and only the centered core is inverted anew.
-    Similarities are returned unchanged, with no statistics.
+    Squared dissimilarities are double centered first, with the factors'
+    own core pseudo-inverse, and only the centered core is inverted anew;
+    the centering statistics travel with the model so new dissimilarity
+    rows can be extended later.  Similarities are corrected directly.
     """
-    if factors.kind is not Kind.SQUARED_DISSIMILARITY:
-        return factors, None
-    s_core, s_cross, stats = nystrom_double_center(
-        factors.cross, factors.core, core_pinv=factors.core_pinv
-    )
-    core_pinv = pinv_sym(s_core, rel_tol)
-    return NystromFactors(Kind.SIMILARITY, factors.landmarks, s_cross, s_core, core_pinv), stats
+    stats = None
+    if factors.kind is Kind.SQUARED_DISSIMILARITY:
+        core, cross, stats = nystrom_double_center(
+            factors.cross, factors.core, core_pinv=factors.core_pinv
+        )
+        factors = NystromFactors(Kind.SIMILARITY, factors.landmarks, cross, core, pinv_sym(core))
+    eig = nystrom_eig_indefinite(factors)
+    return build_corrected_model(eig, factors.landmarks, mode, stats=stats)
 
 
 # ---------------------------------------------------------------------------

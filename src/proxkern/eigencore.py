@@ -10,7 +10,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-# eigenvalues with |v| <= DEFAULT_PINV_TOL * max|v| are treated as zero when inverting
+# eigenvalues with |v| <= DEFAULT_PINV_TOL * max|v| are treated as zero when inverting;
+# the fit makes every other relative cut (singular values, signature, feature factor) here too
 DEFAULT_PINV_TOL = 1e-12
 # the zero band for signature classification scales with the matrix dimension
 SIGNATURE_TOL_PER_DIM = 1e-8

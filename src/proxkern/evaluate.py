@@ -11,21 +11,13 @@ import numpy as np
 from .baselines import lmds_fit, lmds_project
 from .corrections import (
     CorrectedModel,
-    build_corrected_model,
     correct_eigenvalues,
+    fit_corrected_model,
     fit_corrected_model_from_factors,
-    similarity_factors,
 )
 from .dataio import Kind, ProximityMatrix
-from .eigencore import DEFAULT_PINV_TOL, pinv_sym, sym_eig
-from .nystrom import (
-    NystromFactors,
-    RowOracle,
-    as_row_oracle,
-    nystrom_eig_indefinite,
-    nystrom_factors,
-    select_landmarks,
-)
+from .eigencore import pinv_sym, sym_eig
+from .nystrom import NystromFactors, RowOracle, as_row_oracle
 from .oos import extend_features
 from .transforms import double_center
 
@@ -55,19 +47,9 @@ def spearman_rho(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(len(x))
-    ranks[order] = np.arange(len(x), dtype=np.float64)
-    xs = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and xs[j + 1] == xs[i]:
-            j += 1
-        if j > i:
-            ranks[order[i : j + 1]] = (i + j) / 2.0
-        i = j + 1
-    return ranks
+    """0-based ranks of ``x``, tied values sharing the mean of their ranks."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts + 1) / 2.0)[inverse]
 
 
 def proximity_fidelity(
@@ -189,7 +171,6 @@ def crossvalidate(
     repeats: int = 10,
     seed: int = 0,
     method: str = "corrected",
-    rel_tol: float = DEFAULT_PINV_TOL,
 ) -> CvReport:
     """Repeated stratified cross-validation of the landmark pipelines.
 
@@ -219,14 +200,13 @@ def crossvalidate(
         landmarks = np.sort(rng.choice(n, size=m, replace=False))
         fold_sets = stratified_folds(labels, folds, rng)
         core = values[np.ix_(landmarks, landmarks)]
-        core_pinv = pinv_sym(core, rel_tol) if method == "corrected" else None
+        core_pinv = pinv_sym(core) if method == "corrected" else None
         for test_idx in fold_sets:
             train_idx = np.setdiff1d(np.arange(n), test_idx)
             train_rows = values[train_idx][:, landmarks]
             test_rows = values[test_idx][:, landmarks]
             f_train, f_test = _fold_features(
-                matrix.kind, method, mode, train_rows, test_rows, core, core_pinv, landmarks,
-                rel_tol,
+                matrix.kind, method, mode, train_rows, test_rows, core, core_pinv, landmarks
             )
             weights = fit_ridge_classifier(f_train, labels[train_idx], lam)
             predicted = predict_classes(f_test, weights)
@@ -244,14 +224,14 @@ def crossvalidate(
     return CvReport(acc, float(acc.mean()), float(acc.std()), config)
 
 
-def _fold_features(kind, method, mode, train_rows, test_rows, core, core_pinv, landmarks, rel_tol):
+def _fold_features(kind, method, mode, train_rows, test_rows, core, core_pinv, landmarks):
     if method == "dspace":
         return train_rows, test_rows
     if method == "lmds":
         embedding = lmds_fit(core)
         return lmds_project(embedding, train_rows), lmds_project(embedding, test_rows)
     factors = NystromFactors(kind, landmarks, train_rows, core, core_pinv)
-    model = fit_corrected_model_from_factors(factors, mode, rel_tol=rel_tol)
+    model = fit_corrected_model_from_factors(factors, mode)
     if model.r is None:
         raise ValueError(
             f"mode {mode!r} left negative directions; the classifier needs clip or flip"
@@ -315,11 +295,11 @@ def benchmark_scaling(
 
     ``factory(n)`` supplies the proximity source (ideally a row oracle, so
     the proposed pipeline never materializes the matrix) and its kind.  The
-    proposed pipeline runs landmark selection, factorization, centering,
-    the linear-time eigendecomposition and the model build; the standard
-    pipeline runs dense centering, a full eigendecomposition and the dense
-    spectrum correction with reassembly.  Standard runs above ``dense_cap``
-    are skipped and flagged.
+    proposed pipeline is one timed ``fit_corrected_model`` call, the same
+    fit the library and the CLI run, recorded as the single stage "fit";
+    the standard pipeline runs dense centering, a full eigendecomposition
+    and the dense spectrum correction with reassembly, timed per stage.
+    Standard runs above ``dense_cap`` are skipped and flagged.
     """
     if list(n_list) != sorted(n_list):
         raise ValueError("n_list must be ascending")
@@ -335,27 +315,16 @@ def benchmark_scaling(
 
 
 def _run_proposed(oracle, kind, n, m, mode, seed) -> BenchRecord:
-    stages = {}
     start = oracle.entries_touched
     t0 = time.perf_counter()
-    landmarks = select_landmarks(n, m, seed)
-    factors = nystrom_factors(oracle, landmarks, kind=kind)
-    stages["factors"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    sim, stats = similarity_factors(factors)
-    stages["center"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    eig = nystrom_eig_indefinite(sim)
-    stages["eig"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    build_corrected_model(eig, landmarks, mode, stats=stats)
-    stages["correct"] = time.perf_counter() - t0
+    fit_corrected_model(oracle, kind=kind, m=m, mode=mode, seed=seed)
+    t = time.perf_counter() - t0
     return BenchRecord(
         n=n,
         m=m,
         pipeline="proposed",
-        stage_seconds=stages,
-        total_seconds=sum(stages.values()),
+        stage_seconds={"fit": t},
+        total_seconds=t,
         entries_touched=oracle.entries_touched - start,
     )
 

@@ -133,7 +133,6 @@ def nystrom_factors(
     source: ProximityMatrix | np.ndarray | RowOracle,
     landmarks: np.ndarray,
     kind: Kind | None = None,
-    rel_tol: float = DEFAULT_PINV_TOL,
 ) -> NystromFactors:
     """Build the landmark blocks, touching only ``N * m`` source entries.
 
@@ -157,7 +156,7 @@ def nystrom_factors(
     cross = rows.T.copy()
     core = cross[landmarks]
     core = (core + core.T) / 2.0
-    return NystromFactors(kind, landmarks, cross, core, pinv_sym(core, rel_tol))
+    return NystromFactors(kind, landmarks, cross, core, pinv_sym(core))
 
 
 def reconstruct_block(f: NystromFactors, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -167,20 +166,20 @@ def reconstruct_block(f: NystromFactors, rows: np.ndarray, cols: np.ndarray) -> 
     return f.cross[rows] @ f.core_pinv @ f.cross[cols].T
 
 
-def nystrom_eig_psd(f: NystromFactors, rel_tol: float = DEFAULT_PINV_TOL) -> EigenModel:
+def nystrom_eig_psd(f: NystromFactors) -> EigenModel:
     """Eigendecomposition of a psd approximated matrix in O(N m^2 + m^3).
 
     Checks that the core is psd, then runs ``nystrom_eig_indefinite``.
     """
     lam = np.linalg.eigvalsh(f.core)
-    if lam.size and lam.min() < -rel_tol * np.abs(lam).max():
+    if lam.size and lam.min() < -DEFAULT_PINV_TOL * np.abs(lam).max():
         raise ValueError(
             "core has negative eigenvalues; use nystrom_eig_indefinite for indefinite sources"
         )
-    return nystrom_eig_indefinite(f, rel_tol)
+    return nystrom_eig_indefinite(f)
 
 
-def nystrom_eig_indefinite(f: NystromFactors, rel_tol: float = DEFAULT_PINV_TOL) -> EigenModel:
+def nystrom_eig_indefinite(f: NystromFactors) -> EigenModel:
     """Eigendecomposition of an arbitrary symmetric approximated matrix.
 
     With the thin QR ``cross = Q R`` and the SVD ``R = U S Z^T``, the
@@ -188,19 +187,19 @@ def nystrom_eig_indefinite(f: NystromFactors, rel_tol: float = DEFAULT_PINV_TOL)
     ``H = S Z^T core_pinv Z S``.  Diagonalizing ``H = V A V^T`` gives the
     eigenvalues A of ``K_hat`` and orthonormal eigenvectors
     ``Q U V = cross Z S^{-1} V``, so ``row_map = Z S^{-1} V``.  Singular
-    values ``s <= rel_tol * max(s)`` are dropped, because a centered cross
+    values ``s <= DEFAULT_PINV_TOL * max(s)`` are dropped, because a centered cross
     block can be rank-deficient.  Nothing is squared, so small eigenvalues
     of either sign keep their accuracy.  The signature counts eigenvalues
-    within ``rel_tol * max|A|`` of zero, and the dropped directions, as z.
+    within ``DEFAULT_PINV_TOL * max|A|`` of zero, and the dropped directions, as z.
     Cost O(N m^2 + m^3).
     """
     sv, z = _cross_svd(f.cross)
-    keep = sv > rel_tol * sv[0]
+    keep = sv > DEFAULT_PINV_TOL * sv[0]
     z, s = z[:, keep], sv[keep]
     zs = z * s
     v, values = sym_eig(zs.T @ f.core_pinv @ zs)
     row_map = (z / s) @ v
-    p, q, _ = signature_of(values, rel_tol)
+    p, q, _ = signature_of(values, DEFAULT_PINV_TOL)
     return EigenModel(values, Signature(p, q, f.m - p - q), row_map, sv, f.cross)
 
 
@@ -234,21 +233,22 @@ def save_factors(f: NystromFactors, path) -> None:
     write_container(path, _PNF_HEADER, (_PNF_MAGIC, f.kind.value, f.n, f.m), arrays)
 
 
-def load_factors(path, rel_tol: float = DEFAULT_PINV_TOL) -> NystromFactors:
+def load_factors(path) -> NystromFactors:
     """Read a PNF file, raising ``DataError`` on any malformed file."""
     with read_container(path, _PNF_HEADER, _PNF_MAGIC) as ((kind_byte, n, m), take):
         kind = checked_kind(path, kind_byte)
         landmarks = checked_landmarks(path, take(m, "<u8"), n)
         cross = take(n * m, "<f8").reshape(n, m)
         core = take(m * m, "<f8").reshape(m, m)
-    return NystromFactors(kind, landmarks, cross, core, pinv_sym(core, rel_tol))
+    if not (np.isfinite(cross).all() and np.isfinite(core).all()):
+        raise DataError(f"{path}: non-finite value in the landmark blocks")
+    return NystromFactors(kind, landmarks, cross, core, pinv_sym(core))
 
 
 def nystrom_double_center(
     d_cross: np.ndarray,
     d_core: np.ndarray,
     landmarks: np.ndarray | None = None,
-    rel_tol: float = DEFAULT_PINV_TOL,
     core_pinv: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, CenteringStats]:
     """Center approximated squared dissimilarities at linear cost.
@@ -278,7 +278,7 @@ def nystrom_double_center(
         if not np.array_equal(d_cross[landmarks], d_core):
             raise ValueError("landmark rows of d_cross must equal d_core")
     if core_pinv is None:
-        core_pinv = pinv_sym(d_core, rel_tol)
+        core_pinv = pinv_sym(d_core)
     s = d_cross.sum(axis=0)
     g = float(s @ core_pinv @ s)
     stats = CenteringStats(s=s, g=g, n=n, core_pinv=core_pinv)

@@ -3,6 +3,10 @@
 New objects never trigger a refit: the fitted ``w_star`` and, for
 dissimilarity-born models, the frozen centering statistics are applied to
 the new rows of raw proximities against the landmarks.
+``extend_similarities`` and ``extend_dissimilarities`` return the block
+between the new objects and the fitted rows; ``extend_features`` returns
+feature rows, whose dot products also give the similarities among the new
+objects themselves.
 """
 
 from __future__ import annotations
@@ -13,31 +17,22 @@ from .corrections import CorrectedModel
 from .nystrom import center_dissimilarity_rows
 
 
-def extend_similarities(
-    model: CorrectedModel, s_new: np.ndarray, self_block: bool = False
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+def extend_similarities(model: CorrectedModel, s_new: np.ndarray) -> np.ndarray:
     """Corrected similarities between t new points and the fitted rows.
 
     ``s_new`` holds raw (uncorrected, already centered if the model is
     dissimilarity-born) similarities between the new points and the m
-    landmarks.  Returns the t x N block ``s_new @ w_star @ cross.T``; with
-    ``self_block=True`` also returns the t x t block among the new points.
+    landmarks.  Returns the t x N block ``(s_new @ w_star) @ cross.T``.
     Rows of the training cross block reproduce their corrected_block rows
     exactly.
     """
     s_new = np.atleast_2d(np.asarray(s_new, dtype=np.float64))
     if s_new.shape[1] != model.m:
         raise ValueError(f"query rows have width {s_new.shape[1]}, model has m={model.m}")
-    projected = s_new @ model.w_star
-    block = projected @ model.cross.T
-    if self_block:
-        return block, projected @ s_new.T
-    return block
+    return (s_new @ model.w_star) @ model.cross.T
 
 
-def extend_dissimilarities(
-    model: CorrectedModel, d_new: np.ndarray, self_block: bool = False
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+def extend_dissimilarities(model: CorrectedModel, d_new: np.ndarray) -> np.ndarray:
     """Corrected similarities for new squared dissimilarity rows.
 
     Each row is centered with the training statistics frozen at fit time
@@ -50,8 +45,7 @@ def extend_dissimilarities(
             "use extend_similarities"
         )
     d_new = np.atleast_2d(np.asarray(d_new, dtype=np.float64))
-    s_new = center_dissimilarity_rows(d_new, model.stats)
-    return extend_similarities(model, s_new, self_block=self_block)
+    return extend_similarities(model, center_dissimilarity_rows(d_new, model.stats))
 
 
 def extend_features(model: CorrectedModel, prox_new: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from proxkern import Kind, ProximityMatrix, read_block, read_matrix, write_matrix
+from proxkern import Kind, ProximityMatrix, read_block, read_matrix, select_landmarks, write_matrix
 from proxkern.cli import run
 
 from conftest import random_squared_dissimilarity
@@ -107,11 +107,32 @@ def test_baseline_subcommands(tmp_path):
     d = random_squared_dissimilarity(15, rng)
     src = tmp_path / "d.pmx"
     write_matrix(d, src, "pmx")
-    for sub in ("lmds", "dspace"):
+    kinds = {"lmds": Kind.SIMILARITY, "dspace": Kind.SQUARED_DISSIMILARITY}
+    for sub, want in kinds.items():
         out = tmp_path / f"{sub}.pmb"
         assert run(["baseline", sub, "--in", str(src), "--m", "5", "--seed", "1", "--out", str(out)]) == 0
-        block, _ = read_block(out)
+        block, kind = read_block(out)
         assert block.shape[0] == 15
+        assert kind is want
+    # dspace writes the raw squared dissimilarities to the landmarks
+    assert np.array_equal(block, d.values[:, select_landmarks(15, 5, 1)])
+
+
+def test_asymmetric_input_is_reported(tmp_path, capsys):
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((8, 8))
+    s = x @ x.T
+    s[0, 1] += 0.5  # one entry off its mirror
+    src = tmp_path / "s.csv"
+    np.savetxt(src, s, fmt="%.17g", delimiter=",")
+    model_path = tmp_path / "model.pcm"
+    code = run(["correct", "--in", str(src), "--kind", "sim", "--m", "4", "--out", str(model_path)])
+    assert code == 0
+    assert "not symmetric" in capsys.readouterr().err
+    # a symmetric input draws no warning
+    np.savetxt(src, x @ x.T, fmt="%.17g", delimiter=",")
+    assert run(["correct", "--in", str(src), "--kind", "sim", "--m", "4", "--out", str(model_path)]) == 0
+    assert "not symmetric" not in capsys.readouterr().err
 
 
 def test_eval_converge(tmp_path):

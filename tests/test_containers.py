@@ -8,6 +8,7 @@ reading them must give back the same arrays.  The arrays come from
 change a byte.
 """
 
+import struct
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -121,9 +122,12 @@ def test_golden_bytes_and_arrays(name, tmp_path):
     assert_same(read(DATA / name), obj)
 
 
-# the kind byte follows the 4-byte magic; PNF landmarks follow its 21-byte header
+# the kind byte follows the 4-byte magic; PNF landmarks follow its 21-byte header,
+# and the golden PNF files hold 2 landmarks, a 5 x 2 cross block and a 2 x 2 core
 KIND_OFFSET = 4
 PNF_LANDMARKS = 21
+PNF_CROSS = PNF_LANDMARKS + 2 * 8
+PNF_CORE = PNF_CROSS + 5 * 2 * 8
 
 
 @pytest.mark.parametrize("name", ["dissimilarity.pmx", "block.pmb", "dissimilarity.pnf"])
@@ -139,6 +143,10 @@ def test_corrupt_files_raise_data_error(name, tmp_path):
         for landmark in ((10**6).to_bytes(8, "little"), repeated):  # out of range, repeated
             corrupt = bytearray(raw)
             corrupt[PNF_LANDMARKS : PNF_LANDMARKS + 8] = landmark
+            bad.append(bytes(corrupt))
+        for offset in (PNF_CROSS + 8, PNF_CORE + 8):  # NaN in the cross block, in the core
+            corrupt = bytearray(raw)
+            corrupt[offset : offset + 8] = struct.pack("<d", float("nan"))
             bad.append(bytes(corrupt))
     path = tmp_path / name
     for blob in bad:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from proxkern import evaluate
 from proxkern import (
     Kind,
     ProximityMatrix,
@@ -18,6 +19,23 @@ from proxkern import (
 )
 
 from conftest import random_indefinite_dissimilarity, random_squared_dissimilarity
+
+
+def loop_average_ranks(x):
+    """Reference: average ranks by a walk over the sorted values."""
+    order = np.argsort(x, kind="mergesort")
+    ranks = np.empty(len(x))
+    ranks[order] = np.arange(len(x), dtype=np.float64)
+    xs = x[order]
+    i = 0
+    while i < len(x):
+        j = i
+        while j + 1 < len(x) and xs[j + 1] == xs[i]:
+            j += 1
+        if j > i:
+            ranks[order[i : j + 1]] = (i + j) / 2.0
+        i = j + 1
+    return ranks
 
 
 class TestSpearman:
@@ -39,6 +57,16 @@ class TestSpearman:
         # average ranks keep the correlation symmetric under tie permutations
         rho = spearman_rho([1.0, 1.0, 2.0], [5.0, 5.0, 9.0])
         assert rho == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("levels", [2, 7, 50, None])
+    def test_average_ranks_match_loop(self, levels):
+        rng = np.random.default_rng(8)
+        for size in (1, 2, 3, 10, 101, 1000):
+            if levels is None:  # untied
+                x = rng.standard_normal(size)
+            else:  # many ties, including negative and zero values
+                x = (rng.integers(0, levels, size=size) - levels // 2) / 4.0
+            assert np.array_equal(evaluate._average_ranks(x), loop_average_ranks(x))
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(0)
@@ -246,6 +274,29 @@ class TestBenchmark:
         for r in proposed:
             assert r.entries_touched <= 2 * r.n * r.m + 4 * r.m * r.m
         assert all(not r.skipped for r in standard)
+
+    def test_proposed_pipeline_is_one_fit(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        calls = []
+        fit = evaluate.fit_corrected_model
+
+        def counting_fit(*args, **kwargs):
+            calls.append(kwargs)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "fit_corrected_model", counting_fit)
+
+        def factory(n):
+            return random_squared_dissimilarity(n, rng), Kind.SQUARED_DISSIMILARITY
+
+        records = benchmark_scaling(factory, [30, 60], m_fixed=5, mode="clip", seed=4)
+        assert calls == [
+            {"kind": Kind.SQUARED_DISSIMILARITY, "m": 5, "mode": "clip", "seed": 4}
+        ] * 2
+        for r in records:
+            if r.pipeline == "proposed":
+                assert list(r.stage_seconds) == ["fit"]
+                assert r.total_seconds == r.stage_seconds["fit"]
 
     def test_dense_cap_skips(self):
         rng = np.random.default_rng(11)

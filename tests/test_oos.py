@@ -74,13 +74,6 @@ class TestExtendSimilarities:
         )
         assert np.abs(combined - parts).max() <= 1e-10 * max(np.abs(parts).max(), 1.0)
 
-    def test_self_block_symmetric(self):
-        rng = np.random.default_rng(5)
-        model, _ = similarity_model(16, 5, "flip", rng)
-        queries = rng.standard_normal((7, 5))
-        _, self_block = extend_similarities(model, queries, self_block=True)
-        assert np.abs(self_block - self_block.T).max() <= 1e-10 * np.abs(self_block).max()
-
     def test_training_row_idempotence_brute_force(self):
         rng = np.random.default_rng(6)
         model, _ = similarity_model(60, 10, "clip", rng)
