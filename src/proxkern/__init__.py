@@ -14,7 +14,6 @@ from .corrections import (
     build_corrected_model,
     correct_eigenvalues,
     corrected_block,
-    corrected_to_dissimilarity,
     fit_corrected_model,
     fit_corrected_model_from_factors,
     load_model,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigencore import signature_of, sym_eig
+from .transforms import _double_center
 
 
 @dataclass
@@ -35,10 +36,7 @@ def lmds_fit(d_core: np.ndarray, dim: int | None = None) -> LmdsEmbedding:
     m = d_core.shape[0]
     if d_core.shape != (m, m):
         raise ValueError(f"landmark block must be square, got {d_core.shape}")
-    r = d_core.sum(axis=1)
-    g = r.sum()
-    s = -0.5 * (d_core - r[:, None] / m - r[None, :] / m + g / m**2)
-    vectors, values = sym_eig((s + s.T) / 2.0)
+    vectors, values = sym_eig(_double_center(d_core))
     sig = signature_of(values)
     if sig.p == 0:
         raise ValueError("landmark block has no positive eigenvalues; nothing to embed")

@@ -19,6 +19,7 @@ artifacts get a sidecar ``<path>.json`` with the same provenance.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -73,6 +74,10 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="proxkern", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    # --in and --kind of every subcommand that reads a proximity matrix
+    source = _Parser(add_help=False)
+    source.add_argument("--in", dest="input", required=True)
+    source.add_argument("--kind", choices=sorted(_KINDS))
 
     gen = sub.add_parser("gen", help="generate datasets")
     gen_sub = gen.add_subparsers(dest="generator", required=True)
@@ -86,15 +91,13 @@ def _build_parser() -> _Parser:
     ball.add_argument("--out", required=True, help="output PMX path")
     ball.add_argument("--labels", required=True, help="output label path")
 
-    convert = sub.add_parser("convert", help="dense D/S conversion")
-    convert.add_argument("--in", dest="input", required=True)
-    convert.add_argument("--kind", choices=sorted(_KINDS), required=False)
+    convert = sub.add_parser("convert", parents=[source], help="dense D/S conversion")
     convert.add_argument("--to", choices=["sim", "dis"], required=True)
     convert.add_argument("--out", required=True)
 
-    approx = sub.add_parser("approximate", help="build and serialize landmark factors")
-    approx.add_argument("--in", dest="input", required=True)
-    approx.add_argument("--kind", choices=sorted(_KINDS))
+    approx = sub.add_parser(
+        "approximate", parents=[source], help="build and serialize landmark factors"
+    )
     approx.add_argument("--m", type=int, required=True)
     approx.add_argument("--seed", type=int, default=0)
     approx.add_argument("--out", required=True, help="factors file (PNF)")
@@ -102,9 +105,7 @@ def _build_parser() -> _Parser:
         "--reconstruct", default=None, help="optionally also write the dense reconstruction (PMX)"
     )
 
-    correct = sub.add_parser("correct", help="fit a corrected model")
-    correct.add_argument("--in", dest="input", required=True)
-    correct.add_argument("--kind", choices=sorted(_KINDS))
+    correct = sub.add_parser("correct", parents=[source], help="fit a corrected model")
     correct.add_argument("--m", type=int, default=None, help="landmarks (default: all rows)")
     correct.add_argument("--mode", choices=MODES, default="flip")
     correct.add_argument("--seed", type=int, default=0)
@@ -117,25 +118,21 @@ def _build_parser() -> _Parser:
 
     baseline = sub.add_parser("baseline", help="baseline representations")
     baseline_sub = baseline.add_subparsers(dest="baseline", required=True)
-    lmds = baseline_sub.add_parser("lmds", help="landmark MDS coordinates")
-    lmds.add_argument("--in", dest="input", required=True)
-    lmds.add_argument("--kind", choices=sorted(_KINDS))
+    lmds = baseline_sub.add_parser("lmds", parents=[source], help="landmark MDS coordinates")
     lmds.add_argument("--m", type=int, required=True)
     lmds.add_argument("--seed", type=int, default=0)
     lmds.add_argument("--dim", type=int, default=None)
     lmds.add_argument("--out", required=True, help="N x k coordinates (PMB, sim kind)")
-    dspace = baseline_sub.add_parser("dspace", help="dissimilarity-space features")
-    dspace.add_argument("--in", dest="input", required=True)
-    dspace.add_argument("--kind", choices=sorted(_KINDS))
+    dspace = baseline_sub.add_parser(
+        "dspace", parents=[source], help="dissimilarity-space features"
+    )
     dspace.add_argument("--m", type=int, required=True)
     dspace.add_argument("--seed", type=int, default=0)
     dspace.add_argument("--out", required=True, help="N x m raw columns (PMB, dis kind)")
 
     evaluate = sub.add_parser("eval", help="experiments")
     eval_sub = evaluate.add_subparsers(dest="experiment", required=True)
-    cv = eval_sub.add_parser("cv", help="repeated stratified crossvalidation")
-    cv.add_argument("--in", dest="input", required=True)
-    cv.add_argument("--kind", choices=sorted(_KINDS))
+    cv = eval_sub.add_parser("cv", parents=[source], help="repeated stratified crossvalidation")
     cv.add_argument("--labels", required=True)
     cv.add_argument("--m", type=int, required=True)
     cv.add_argument("--mode", choices=MODES, default="flip")
@@ -145,9 +142,9 @@ def _build_parser() -> _Parser:
     cv.add_argument("--repeats", type=int, default=10)
     cv.add_argument("--seed", type=int, default=0)
     cv.add_argument("--out", default=None, help="optional JSON report path")
-    fidelity = eval_sub.add_parser("fidelity", help="rank preservation vs the dense pipeline")
-    fidelity.add_argument("--in", dest="input", required=True)
-    fidelity.add_argument("--kind", choices=sorted(_KINDS))
+    fidelity = eval_sub.add_parser(
+        "fidelity", parents=[source], help="rank preservation vs the dense pipeline"
+    )
     fidelity.add_argument("--m", type=int, required=True, action="append")
     fidelity.add_argument("--mode", choices=MODES, default="flip")
     fidelity.add_argument("--pairs", type=int, default=None)
@@ -199,10 +196,12 @@ def _provenance(args: argparse.Namespace) -> dict:
     return {"schema_version": SCHEMA_VERSION, "tool": f"proxkern {__version__}", "config": config}
 
 
-def _emit(payload: dict, out: str | None) -> None:
+def _emit(args: argparse.Namespace, result) -> None:
+    """Print the provenance with ``result`` as JSON, and write it to ``--out`` if given."""
+    payload = {**_provenance(args), "result": result}
     text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonify)
-    if out:
-        Path(out).write_text(text + "\n")
+    if args.out:
+        Path(args.out).write_text(text + "\n")
     print(text)
 
 
@@ -297,7 +296,7 @@ def _cmd_baseline(args) -> int:
     features = matrix.values[:, landmarks]
     kind = Kind.SQUARED_DISSIMILARITY
     if args.baseline == "lmds":
-        embedding = lmds_fit(matrix.values[np.ix_(landmarks, landmarks)], args.dim)
+        embedding = lmds_fit(features[landmarks], args.dim)
         features = lmds_project(embedding, features)
         kind = Kind.SIMILARITY
     write_block(features, args.out, kind)
@@ -320,39 +319,30 @@ def _cmd_eval(args) -> int:
             seed=args.seed,
             method=args.method,
         )
-        payload = _provenance(args)
-        payload["result"] = {
+        result = {
             "mean_accuracy": report.mean,
             "std_accuracy": report.std,
             "fold_accuracies": report.accuracies,
         }
-        _emit(payload, args.out)
-        return 0
-    if args.experiment == "fidelity":
+    elif args.experiment == "fidelity":
         matrix = _load(args.input, args.kind)
         exact = fit_corrected_model(
             matrix, kind=matrix.kind, landmarks=np.arange(matrix.n), mode=args.mode
         )
-        rows = []
+        result = []
         for m in args.m:
             approx = fit_corrected_model(
                 matrix, kind=matrix.kind, m=m, mode=args.mode, seed=args.seed
             )
-            rows.append({"m": m, "rho": proximity_fidelity(exact, approx, args.pairs, args.seed)})
-        payload = _provenance(args)
-        payload["result"] = rows
-        _emit(payload, args.out)
-        return 0
-    kernels = {
-        "min": lambda a, b: np.minimum(a, b),
-        "negabs": lambda a, b: -np.abs(a - b),
-    }
-    errors = convergence_probe(kernels[args.kernel], args.grid, sorted(args.m), args.seed)
-    payload = _provenance(args)
-    payload["result"] = [
-        {"m": m, "max_error": float(e)} for m, e in zip(sorted(args.m), errors)
-    ]
-    _emit(payload, args.out)
+            result.append({"m": m, "rho": proximity_fidelity(exact, approx, args.pairs, args.seed)})
+    else:
+        kernels = {
+            "min": lambda a, b: np.minimum(a, b),
+            "negabs": lambda a, b: -np.abs(a - b),
+        }
+        errors = convergence_probe(kernels[args.kernel], args.grid, sorted(args.m), args.seed)
+        result = [{"m": m, "max_error": float(e)} for m, e in zip(sorted(args.m), errors)]
+    _emit(args, result)
     return 0
 
 
@@ -378,20 +368,7 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
         dense_cap=args.dense_cap,
     )
-    payload = _provenance(args)
-    payload["result"] = [
-        {
-            "n": r.n,
-            "m": r.m,
-            "pipeline": r.pipeline,
-            "stage_seconds": r.stage_seconds,
-            "total_seconds": r.total_seconds,
-            "entries_touched": r.entries_touched,
-            "skipped": r.skipped,
-        }
-        for r in records
-    ]
-    _emit(payload, args.out)
+    _emit(args, [dataclasses.asdict(r) for r in records])
     return 0
 
 

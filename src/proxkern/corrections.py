@@ -42,7 +42,6 @@ from .nystrom import (
     nystrom_factors,
     select_landmarks,
 )
-from .transforms import CLAMP_TOL
 
 MODES = ("clip", "flip", "shift", "none")
 
@@ -139,38 +138,6 @@ def corrected_block(model: CorrectedModel, rows: np.ndarray, cols: np.ndarray) -
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     return model.cross[rows] @ model.w_star @ model.cross[cols].T
-
-
-def corrected_to_dissimilarity(
-    model: CorrectedModel, rows: np.ndarray, cols: np.ndarray
-) -> np.ndarray:
-    """Corrected squared dissimilarities ``D*_ij = S*_ii + S*_jj - 2 S*_ij``.
-
-    Round-off negatives are clamped to zero.  For clip and flip the corrected
-    matrix is psd, so a structurally negative result signals an internal
-    inconsistency and raises.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    row_proj = model.cross[rows] @ model.w_star
-    col_proj = model.cross[cols] @ model.w_star
-    diag_rows = np.einsum("ij,ij->i", row_proj, model.cross[rows])
-    diag_cols = np.einsum("ij,ij->i", col_proj, model.cross[cols])
-    block = row_proj @ model.cross[cols].T
-    d = diag_rows[:, None] + diag_cols[None, :] - 2.0 * block
-    diag_scale = max(
-        np.abs(diag_rows).max() if diag_rows.size else 0.0,
-        np.abs(diag_cols).max() if diag_cols.size else 0.0,
-    )
-    scale = max(np.abs(block).max() if block.size else 0.0, diag_scale)
-    floor = -CLAMP_TOL * scale
-    if d.size and d.min() < floor and model.mode in ("clip", "flip"):
-        i, j = np.unravel_index(int(d.argmin()), d.shape)
-        raise ValueError(
-            f"corrected dissimilarity {d[i, j]} at ({int(rows[i])}, {int(cols[j])}) is negative "
-            f"under {model.mode}; corrected similarities should be psd"
-        )
-    return np.where(d > floor, np.clip(d, 0.0, None), d)
 
 
 def fit_corrected_model(

@@ -17,7 +17,14 @@ from .corrections import (
 )
 from .dataio import Kind, ProximityMatrix
 from .eigencore import pinv_sym, sym_eig
-from .nystrom import NystromFactors, RowOracle, as_row_oracle
+from .nystrom import (
+    NystromFactors,
+    RowOracle,
+    as_row_oracle,
+    nystrom_factors,
+    reconstruct_block,
+    select_landmarks,
+)
 from .oos import extend_features
 from .transforms import double_center
 
@@ -82,20 +89,18 @@ def proximity_fidelity(
 
 
 def _sample_pairs(n: int, pairs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``pairs`` distinct sorted pairs i < j; each batch adds new keys in draw order."""
     rng = np.random.default_rng(seed)
-    seen: set[tuple[int, int]] = set()
-    while len(seen) < pairs:
-        i = rng.integers(0, n, size=2 * (pairs - len(seen)))
+    taken = np.empty(0, dtype=np.int64)
+    while len(taken) < pairs:
+        i = rng.integers(0, n, size=2 * (pairs - len(taken)))
         j = rng.integers(0, n, size=len(i))
-        for a, b in zip(i, j):
-            if a == b:
-                continue
-            key = (int(min(a, b)), int(max(a, b)))
-            seen.add(key)
-            if len(seen) == pairs:
-                break
-    pairs_arr = np.array(sorted(seen), dtype=np.int64)
-    return pairs_arr[:, 0], pairs_arr[:, 1]
+        keys = (np.minimum(i, j) * n + np.maximum(i, j))[i != j]
+        keys = keys[~np.isin(keys, taken)]
+        _, first = np.unique(keys, return_index=True)
+        taken = np.concatenate([taken, keys[np.sort(first)][: pairs - len(taken)]])
+    taken.sort()
+    return taken // n, taken % n
 
 
 def _pair_dissimilarities(model: CorrectedModel, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -174,18 +179,22 @@ def crossvalidate(
 ) -> CvReport:
     """Repeated stratified cross-validation of the landmark pipelines.
 
-    Landmarks are drawn once per repeat from the full index set and stay
-    fixed across the folds of that repeat, so the landmark selection bias is
-    averaged over repeats but never refreshed inside a crossvalidation.  Per
-    fold the corrected model is fitted on the training rows only and the
-    held-out rows enter through the out-of-sample extension.
+    Each repeat draws its landmarks from the full index set with
+    ``select_landmarks`` and then its folds, both from one generator.  The
+    landmarks stay fixed across the folds of that repeat, so the landmark
+    selection bias is averaged over repeats but never refreshed inside a
+    crossvalidation.  What depends only on the landmarks is done once per
+    repeat: the landmark columns are sliced, and the raw core's
+    pseudo-inverse (corrected) or the landmark MDS embedding (lmds) is
+    computed.  Per fold the training and held-out rows are indexed from
+    those columns; the corrected model is fitted on the training rows only
+    and the held-out rows enter through the out-of-sample extension.
 
     ``method`` selects the pipeline: "corrected" (landmark correction with
     the given mode), "lmds" (landmark MDS triangulation) or "dspace" (raw
     dissimilarities to the landmarks as features).
     """
     labels = np.asarray(labels, dtype=np.int64)
-    values = matrix.values
     n = matrix.n
     if len(labels) != n:
         raise ValueError("label count does not match matrix size")
@@ -197,17 +206,28 @@ def crossvalidate(
     accuracies = []
     for repeat_seq in root.spawn(repeats):
         rng = np.random.default_rng(repeat_seq)
-        landmarks = np.sort(rng.choice(n, size=m, replace=False))
+        landmarks = select_landmarks(n, m, rng)
         fold_sets = stratified_folds(labels, folds, rng)
-        core = values[np.ix_(landmarks, landmarks)]
-        core_pinv = pinv_sym(core) if method == "corrected" else None
+        rows = matrix.values[:, landmarks]
+        core = rows[landmarks]
+        if method == "corrected":
+            core_pinv = pinv_sym(core)
+        elif method == "lmds":
+            embedding = lmds_fit(core)
         for test_idx in fold_sets:
             train_idx = np.setdiff1d(np.arange(n), test_idx)
-            train_rows = values[train_idx][:, landmarks]
-            test_rows = values[test_idx][:, landmarks]
-            f_train, f_test = _fold_features(
-                matrix.kind, method, mode, train_rows, test_rows, core, core_pinv, landmarks
-            )
+            f_train, f_test = rows[train_idx], rows[test_idx]
+            if method == "lmds":
+                f_train, f_test = lmds_project(embedding, f_train), lmds_project(embedding, f_test)
+            elif method == "corrected":
+                factors = NystromFactors(matrix.kind, landmarks, f_train, core, core_pinv)
+                model = fit_corrected_model_from_factors(factors, mode)
+                if model.r is None:
+                    raise ValueError(
+                        f"mode {mode!r} left negative directions; "
+                        "the classifier needs clip or flip"
+                    )
+                f_train, f_test = extend_features(model, f_train), extend_features(model, f_test)
             weights = fit_ridge_classifier(f_train, labels[train_idx], lam)
             predicted = predict_classes(f_test, weights)
             accuracies.append(float((predicted == labels[test_idx]).mean()))
@@ -222,21 +242,6 @@ def crossvalidate(
         "seed": seed,
     }
     return CvReport(acc, float(acc.mean()), float(acc.std()), config)
-
-
-def _fold_features(kind, method, mode, train_rows, test_rows, core, core_pinv, landmarks):
-    if method == "dspace":
-        return train_rows, test_rows
-    if method == "lmds":
-        embedding = lmds_fit(core)
-        return lmds_project(embedding, train_rows), lmds_project(embedding, test_rows)
-    factors = NystromFactors(kind, landmarks, train_rows, core, core_pinv)
-    model = fit_corrected_model_from_factors(factors, mode)
-    if model.r is None:
-        raise ValueError(
-            f"mode {mode!r} left negative directions; the classifier needs clip or flip"
-        )
-    return extend_features(model, train_rows), extend_features(model, test_rows)
 
 
 def convergence_probe(
@@ -257,7 +262,8 @@ def convergence_probe(
         raise ValueError("m_list must be strictly ascending")
     if m_list and m_list[-1] > grid_n:
         raise ValueError("more landmarks than grid points")
-    x = (np.arange(grid_n) + 0.5) / grid_n
+    grid = np.arange(grid_n)
+    x = (grid + 0.5) / grid_n
     full = np.asarray(kernel(x[:, None], x[None, :]), dtype=np.float64)
     full = (full + full.T) / 2.0
     rng = np.random.default_rng(seed)
@@ -265,9 +271,7 @@ def convergence_probe(
     for pos, m in enumerate(m_list):
         edges = (np.arange(m + 1) * grid_n) // m
         landmarks = np.array([rng.integers(edges[i], edges[i + 1]) for i in range(m)])
-        cross = full[:, landmarks]
-        core = cross[landmarks]
-        approx = cross @ pinv_sym(core) @ cross.T
+        approx = reconstruct_block(nystrom_factors(full, landmarks), grid, grid)
         errors[pos] = np.abs(approx - full).max()
     return errors
 

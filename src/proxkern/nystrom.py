@@ -114,8 +114,8 @@ class CenteringStats:
     core_pinv: np.ndarray = field(repr=False)  # pinv of the dissimilarity core
 
 
-def select_landmarks(n: int, m: int, seed: int = 0) -> np.ndarray:
-    """Draw m distinct indices uniformly without replacement."""
+def select_landmarks(n: int, m: int, seed: int | np.random.Generator = 0) -> np.ndarray:
+    """Draw m distinct sorted indices uniformly; ``seed`` is an int or a ``Generator``."""
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     return np.sort(np.random.default_rng(seed).choice(n, size=m, replace=False))

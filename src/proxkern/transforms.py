@@ -2,8 +2,9 @@
 
 ``double_center`` and ``sim_to_dis`` are the exact O(N^2) reference
 transformations that the landmark pipeline reproduces at linear cost; the
-dense baseline, the CLI's ``convert`` and the tests use them.  Centering
-uses the expanded form
+dense baseline, the CLI's ``convert`` and the tests use them, and landmark
+MDS centers its landmark block with the same code.  Centering uses the
+expanded form
 
     S = -0.5 * (D - r 1^T / N - 1 r^T / N + g 11^T / N^2),   r = D 1,  g = 1^T r
 
@@ -31,8 +32,12 @@ def double_center(d: ProximityMatrix) -> np.ndarray:
     """
     if d.kind is not Kind.SQUARED_DISSIMILARITY:
         raise KindMismatchError("double_center expects a squared dissimilarity matrix")
-    values = d.values
-    n = d.n
+    return _double_center(d.values)
+
+
+def _double_center(values: np.ndarray) -> np.ndarray:
+    """The expanded centering formula on a square array, symmetrized."""
+    n = values.shape[0]
     r = values.sum(axis=1)
     g = r.sum()
     s = -0.5 * (values - r[:, None] / n - r[None, :] / n + g / n**2)

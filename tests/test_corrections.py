@@ -3,11 +3,9 @@ import pytest
 
 from proxkern import (
     Kind,
-    ProximityMatrix,
     build_corrected_model,
     correct_eigenvalues,
     corrected_block,
-    corrected_to_dissimilarity,
     double_center,
     fit_corrected_model,
     fit_corrected_model_from_factors,
@@ -16,7 +14,6 @@ from proxkern import (
     nystrom_factors,
     reconstruct_block,
     save_model,
-    sim_to_dis,
     sym_eig,
 )
 
@@ -160,32 +157,6 @@ class TestCorrectedBlock:
             model, _ = model_for(m, np.arange(25), mode)
             got = corrected_block(model, np.arange(25), np.arange(25))
             assert np.abs(got - dense).max() <= 1e-6 * np.abs(dense).max()
-
-
-class TestCorrectedToDissimilarity:
-    def test_self_distance_zero(self):
-        rng = np.random.default_rng(11)
-        m = random_symmetric(10, rng)
-        model, _ = model_for(m, np.arange(4), "flip")
-        d = corrected_to_dissimilarity(model, np.arange(10), np.arange(10))
-        assert np.abs(np.diag(d)).max() <= 1e-12 * max(np.abs(d).max(), 1.0)
-
-    def test_round_trip_matches_dense(self):
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal((12, 5))
-        s = x @ x.T
-        model, _ = model_for(s, np.arange(12), "none")
-        got = corrected_to_dissimilarity(model, np.arange(12), np.arange(12))
-        assert np.abs(got - sim_to_dis(s)).max() <= 1e-8 * sim_to_dis(s).max()
-
-    def test_flip_ball_subset_positive(self, ball600):
-        matrix, _ = ball600
-        sub = matrix.values[:80, :80].copy()
-        d = ProximityMatrix(Kind.SQUARED_DISSIMILARITY, sub)
-        model = fit_corrected_model(d, m=20, mode="flip", seed=3)
-        out = corrected_to_dissimilarity(model, np.arange(80), np.arange(80))
-        off = out[~np.eye(80, dtype=bool)]
-        assert off.min() > 0.0
 
 
 class TestFitPipeline:

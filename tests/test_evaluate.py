@@ -38,6 +38,23 @@ def loop_average_ranks(x):
     return ranks
 
 
+def loop_sample_pairs(n, pairs, seed):
+    """Reference: the pair sampler as a set filled one draw at a time."""
+    rng = np.random.default_rng(seed)
+    seen = set()
+    while len(seen) < pairs:
+        i = rng.integers(0, n, size=2 * (pairs - len(seen)))
+        j = rng.integers(0, n, size=len(i))
+        for a, b in zip(i, j):
+            if a == b:
+                continue
+            seen.add((int(min(a, b)), int(max(a, b))))
+            if len(seen) == pairs:
+                break
+    pairs_arr = np.array(sorted(seen), dtype=np.int64)
+    return pairs_arr[:, 0], pairs_arr[:, 1]
+
+
 class TestSpearman:
     def test_identical(self):
         assert spearman_rho([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0)
@@ -106,6 +123,16 @@ class TestProximityFidelity:
         r1 = proximity_fidelity(exact, approx, pairs=100, seed=9)
         r2 = proximity_fidelity(exact, approx, pairs=100, seed=9)
         assert r1 == r2
+
+    @pytest.mark.parametrize(
+        "n, pairs, seed",
+        [(800, 200_000, 0), (3000, 200_000, 9), (1000, 1000, 3), (50, 1000, 1), (40, 100, 9)],
+    )
+    def test_sampled_pairs_match_loop(self, n, pairs, seed):
+        rows, cols = evaluate._sample_pairs(n, pairs, seed)
+        ref_rows, ref_cols = loop_sample_pairs(n, pairs, seed)
+        assert np.array_equal(rows, ref_rows)
+        assert np.array_equal(cols, ref_cols)
 
     def test_pair_count_validated(self):
         rng = np.random.default_rng(4)
@@ -214,6 +241,19 @@ class TestCrossvalidate:
                 matrix, labels, m=8, mode="flip", folds=4, repeats=1, seed=5, method=method
             )
             assert 0.0 <= report.mean <= 1.0
+
+    def test_lmds_embedding_fitted_once_per_repeat(self, small_ball, monkeypatch):
+        matrix, labels = small_ball
+        calls = []
+        fit = evaluate.lmds_fit
+
+        def counting_fit(*args, **kwargs):
+            calls.append(1)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "lmds_fit", counting_fit)
+        crossvalidate(matrix, labels, m=8, folds=4, repeats=3, seed=5, method="lmds")
+        assert len(calls) == 3
 
     def test_lmds_needs_dissimilarities(self):
         rng = np.random.default_rng(9)
