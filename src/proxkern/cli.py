@@ -4,7 +4,7 @@ Subcommands:
 
     gen ball        generate the ball benchmark dataset (PMX + labels)
     convert         dense conversion between dissimilarities and similarities
-    approximate     build landmark factors and reconstruct (PMX out)
+    approximate     build landmark factors (PNF out), optionally reconstruct (PMB out)
     correct         fit and serialize a corrected model (PCM file)
     extend          out-of-sample extension of a serialized model
     baseline        lmds / dspace feature generation
@@ -78,16 +78,20 @@ def _build_parser() -> _Parser:
     source = _Parser(add_help=False)
     source.add_argument("--in", dest="input", required=True)
     source.add_argument("--kind", choices=sorted(_KINDS))
+    # --seed of every subcommand that draws at random, --mode of every one that corrects
+    seed = _Parser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    mode = _Parser(add_help=False)
+    mode.add_argument("--mode", choices=MODES, default="flip")
 
     gen = sub.add_parser("gen", help="generate datasets")
     gen_sub = gen.add_subparsers(dest="generator", required=True)
-    ball = gen_sub.add_parser("ball", help="ball surface-distance dataset")
+    ball = gen_sub.add_parser("ball", parents=[seed], help="ball surface-distance dataset")
     ball.add_argument("--n", type=int, required=True, help="samples per class")
     ball.add_argument("--dim", type=int, default=5)
     ball.add_argument("--radius-a", type=float, default=0.2)
     ball.add_argument("--radius-b", type=float, default=0.8)
     ball.add_argument("--box", type=float, default=None)
-    ball.add_argument("--seed", type=int, default=0)
     ball.add_argument("--out", required=True, help="output PMX path")
     ball.add_argument("--labels", required=True, help="output label path")
 
@@ -96,74 +100,68 @@ def _build_parser() -> _Parser:
     convert.add_argument("--out", required=True)
 
     approx = sub.add_parser(
-        "approximate", parents=[source], help="build and serialize landmark factors"
+        "approximate", parents=[source, seed], help="build and serialize landmark factors"
     )
     approx.add_argument("--m", type=int, required=True)
-    approx.add_argument("--seed", type=int, default=0)
     approx.add_argument("--out", required=True, help="factors file (PNF)")
     approx.add_argument(
-        "--reconstruct", default=None, help="optionally also write the dense reconstruction (PMX)"
+        "--reconstruct", default=None, help="optionally also write the dense reconstruction (PMB)"
     )
 
-    correct = sub.add_parser("correct", parents=[source], help="fit a corrected model")
+    correct = sub.add_parser("correct", parents=[source, mode, seed], help="fit a corrected model")
     correct.add_argument("--m", type=int, default=None, help="landmarks (default: all rows)")
-    correct.add_argument("--mode", choices=MODES, default="flip")
-    correct.add_argument("--seed", type=int, default=0)
     correct.add_argument("--out", required=True, help="model file (PCM)")
 
-    extend = sub.add_parser("extend", help="out-of-sample extension")
+    extend = sub.add_parser("extend", help="out-of-sample extension of queries of the model's kind")
     extend.add_argument("--model", required=True)
     extend.add_argument("--in", dest="input", required=True, help="t x m query block (PMB or PMX)")
     extend.add_argument("--out", required=True, help="t x N corrected block (PMB)")
 
     baseline = sub.add_parser("baseline", help="baseline representations")
     baseline_sub = baseline.add_subparsers(dest="baseline", required=True)
-    lmds = baseline_sub.add_parser("lmds", parents=[source], help="landmark MDS coordinates")
+    lmds = baseline_sub.add_parser("lmds", parents=[source, seed], help="landmark MDS coordinates")
     lmds.add_argument("--m", type=int, required=True)
-    lmds.add_argument("--seed", type=int, default=0)
     lmds.add_argument("--dim", type=int, default=None)
     lmds.add_argument("--out", required=True, help="N x k coordinates (PMB, sim kind)")
     dspace = baseline_sub.add_parser(
-        "dspace", parents=[source], help="dissimilarity-space features"
+        "dspace", parents=[source, seed], help="dissimilarity-space features"
     )
     dspace.add_argument("--m", type=int, required=True)
-    dspace.add_argument("--seed", type=int, default=0)
     dspace.add_argument("--out", required=True, help="N x m raw columns (PMB, dis kind)")
 
     evaluate = sub.add_parser("eval", help="experiments")
     eval_sub = evaluate.add_subparsers(dest="experiment", required=True)
-    cv = eval_sub.add_parser("cv", parents=[source], help="repeated stratified crossvalidation")
+    cv = eval_sub.add_parser(
+        "cv", parents=[source, mode, seed], help="repeated stratified crossvalidation"
+    )
     cv.add_argument("--labels", required=True)
     cv.add_argument("--m", type=int, required=True)
-    cv.add_argument("--mode", choices=MODES, default="flip")
     cv.add_argument("--method", choices=["corrected", "lmds", "dspace"], default="corrected")
     cv.add_argument("--lam", type=float, default=None)
     cv.add_argument("--folds", type=int, default=10)
     cv.add_argument("--repeats", type=int, default=10)
-    cv.add_argument("--seed", type=int, default=0)
     cv.add_argument("--out", default=None, help="optional JSON report path")
     fidelity = eval_sub.add_parser(
-        "fidelity", parents=[source], help="rank preservation vs the dense pipeline"
+        "fidelity", parents=[source, mode, seed], help="rank preservation vs the dense pipeline"
     )
     fidelity.add_argument("--m", type=int, required=True, action="append")
-    fidelity.add_argument("--mode", choices=MODES, default="flip")
     fidelity.add_argument("--pairs", type=int, default=None)
-    fidelity.add_argument("--seed", type=int, default=0)
     fidelity.add_argument("--out", default=None)
-    converge = eval_sub.add_parser("converge", help="grid-kernel approximation error sweep")
+    converge = eval_sub.add_parser(
+        "converge", parents=[seed], help="grid-kernel approximation error sweep"
+    )
     converge.add_argument("--kernel", choices=["min", "negabs"], default="min")
     converge.add_argument("--grid", type=int, default=200)
     converge.add_argument("--m", type=int, action="append", required=True)
-    converge.add_argument("--seed", type=int, default=0)
     converge.add_argument("--out", default=None)
 
     bench = sub.add_parser("bench", help="benchmarks")
     bench_sub = bench.add_subparsers(dest="benchmark", required=True)
-    scaling = bench_sub.add_parser("scaling", help="runtime scaling in the sample count")
+    scaling = bench_sub.add_parser(
+        "scaling", parents=[mode, seed], help="runtime scaling in the sample count"
+    )
     scaling.add_argument("--n", type=int, action="append", required=True)
     scaling.add_argument("--m", type=int, default=500)
-    scaling.add_argument("--mode", choices=MODES, default="flip")
-    scaling.add_argument("--seed", type=int, default=0)
     scaling.add_argument("--dense-cap", type=int, default=8000)
     scaling.add_argument("--out", default=None)
     return parser
@@ -171,8 +169,6 @@ def _build_parser() -> _Parser:
 
 def _load(path: str, kind_flag: str | None) -> ProximityMatrix:
     p = Path(path)
-    if not p.exists():
-        raise DataError(f"no such file: {p}")
     if p.suffix.lower() == ".csv":
         if kind_flag is None:
             raise DataError("CSV input needs --kind {sim,dis}")
@@ -192,14 +188,14 @@ def _load(path: str, kind_flag: str | None) -> ProximityMatrix:
 
 
 def _provenance(args: argparse.Namespace) -> dict:
-    config = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+    config = {k: v for k, v in vars(args).items() if v is not None}
     return {"schema_version": SCHEMA_VERSION, "tool": f"proxkern {__version__}", "config": config}
 
 
 def _emit(args: argparse.Namespace, result) -> None:
     """Print the provenance with ``result`` as JSON, and write it to ``--out`` if given."""
     payload = {**_provenance(args), "result": result}
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonify)
+    text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
     print(text)
@@ -207,16 +203,8 @@ def _emit(args: argparse.Namespace, result) -> None:
 
 def _sidecar(path: str, args: argparse.Namespace) -> None:
     Path(str(path) + ".json").write_text(
-        json.dumps(_provenance(args), indent=2, sort_keys=True, default=_jsonify) + "\n"
+        json.dumps(_provenance(args), indent=2, sort_keys=True) + "\n"
     )
-
-
-def _jsonify(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer, np.floating)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _cmd_gen(args) -> int:
@@ -233,8 +221,6 @@ def _cmd_gen(args) -> int:
 def _cmd_convert(args) -> int:
     matrix = _load(args.input, args.kind)
     if args.to == "sim":
-        if matrix.kind is not Kind.SQUARED_DISSIMILARITY:
-            raise DataError("convert --to sim expects squared dissimilarity input")
         out = ProximityMatrix(Kind.SIMILARITY, double_center(matrix))
     else:
         if matrix.kind is not Kind.SIMILARITY:
@@ -253,7 +239,9 @@ def _cmd_approximate(args) -> int:
     _sidecar(args.out, args)
     if args.reconstruct:
         full = reconstruct_block(factors, np.arange(matrix.n), np.arange(matrix.n))
-        write_matrix(ProximityMatrix.from_values(matrix.kind, full), args.reconstruct, "pmx")
+        # a reconstruction from m < n landmarks is no proximity matrix (its diagonal is
+        # not zero), so it is written as a block of the source kind, stored as computed
+        write_block(full, args.reconstruct, matrix.kind)
         _sidecar(args.reconstruct, args)
     return 0
 
@@ -261,7 +249,7 @@ def _cmd_approximate(args) -> int:
 def _cmd_correct(args) -> int:
     matrix = _load(args.input, args.kind)
     m = args.m if args.m is not None else matrix.n
-    model = fit_corrected_model(matrix, kind=matrix.kind, m=m, mode=args.mode, seed=args.seed)
+    model = fit_corrected_model(matrix, m=m, mode=args.mode, seed=args.seed)
     save_model(model, args.out)
     _sidecar(args.out, args)
     if model.ill_conditioned:
@@ -276,13 +264,15 @@ def _cmd_correct(args) -> int:
 
 def _cmd_extend(args) -> int:
     model = load_model(args.model)
-    query, _ = read_block(args.input)
-    if query.shape[1] != model.m:
-        raise DataError(f"query block has {query.shape[1]} columns, model has m={model.m}")
+    query, kind = read_block(args.input)
+    # dissimilarity-born models carry centering statistics for raw dissimilarity rows
     if model.stats is not None:
-        block = extend_dissimilarities(model, query)
+        want, extend = Kind.SQUARED_DISSIMILARITY, extend_dissimilarities
     else:
-        block = extend_similarities(model, query)
+        want, extend = Kind.SIMILARITY, extend_similarities
+    if kind is not want:
+        raise DataError(f"query block is {kind.name.lower()}, the model needs {want.name.lower()}")
+    block = extend(model, query)
     write_block(block, args.out, Kind.SIMILARITY)
     _sidecar(args.out, args)
     return 0
@@ -322,18 +312,14 @@ def _cmd_eval(args) -> int:
         result = {
             "mean_accuracy": report.mean,
             "std_accuracy": report.std,
-            "fold_accuracies": report.accuracies,
+            "fold_accuracies": report.accuracies.tolist(),
         }
     elif args.experiment == "fidelity":
         matrix = _load(args.input, args.kind)
-        exact = fit_corrected_model(
-            matrix, kind=matrix.kind, landmarks=np.arange(matrix.n), mode=args.mode
-        )
+        exact = fit_corrected_model(matrix, landmarks=np.arange(matrix.n), mode=args.mode)
         result = []
         for m in args.m:
-            approx = fit_corrected_model(
-                matrix, kind=matrix.kind, m=m, mode=args.mode, seed=args.seed
-            )
+            approx = fit_corrected_model(matrix, m=m, mode=args.mode, seed=args.seed)
             result.append({"m": m, "rho": proximity_fidelity(exact, approx, args.pairs, args.seed)})
     else:
         kernels = {

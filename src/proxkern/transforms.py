@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataio import Kind, ProximityMatrix
+from .dataio import DataError, Kind, ProximityMatrix
 
 # negative entries no larger than this (relative) are treated as round-off in sim_to_dis
 CLAMP_TOL = 1e-9
 
 
-class KindMismatchError(TypeError):
+class KindMismatchError(DataError):
     """Operation applied to a proximity matrix of the wrong kind."""
 
 

