@@ -169,16 +169,7 @@ def _build_parser() -> _Parser:
 
 def _load(path: str, kind_flag: str | None) -> ProximityMatrix:
     p = Path(path)
-    if p.suffix.lower() == ".csv":
-        if kind_flag is None:
-            raise DataError("CSV input needs --kind {sim,dis}")
-        matrix = read_matrix(p, "csv", _KINDS[kind_flag])
-    else:
-        matrix = read_matrix(p, "pmx")
-        if kind_flag is not None and _KINDS[kind_flag] is not matrix.kind:
-            raise DataError(
-                f"--kind {kind_flag} contradicts the PMX header ({matrix.kind.name.lower()})"
-            )
+    matrix = read_matrix(p, "csv" if p.suffix.lower() == ".csv" else "pmx", _KINDS.get(kind_flag))
     if matrix.asymmetric:
         print(
             f"warning: {p} is not symmetric; it was symmetrized as (A + A^T) / 2",
@@ -333,9 +324,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if any(n % 2 for n in args.n):
+        raise DataError("scaling benchmark sizes must be even (two balanced classes)")
+
     def factory(n):
-        if n % 2:
-            raise DataError("scaling benchmark sizes must be even (two balanced classes)")
         from .dataio import BOX_FACTOR, DEFAULT_DIM, DEFAULT_RADIUS_A, DEFAULT_RADIUS_B
 
         # box grows with n^(1/dim) to keep the packing density fixed
@@ -379,7 +371,7 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (DataError, FileNotFoundError, ValueError) as exc:
+    except (DataError, OSError, ValueError) as exc:
         print(f"proxkern: error: {exc}", file=sys.stderr)
         return 2
 

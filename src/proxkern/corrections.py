@@ -110,8 +110,6 @@ def build_corrected_model(
     ``-DEFAULT_PINV_TOL * max|A*|``.  The model is flagged ill-conditioned when the
     cross block's singular values span more than ``ILL_CONDITION_LIMIT``.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown correction mode {mode!r}; expected one of {MODES}")
     a_star = correct_eigenvalues(eig.values, mode)
     w_star = eig.row_map @ (a_star[:, None] * eig.row_map.T)
     w_star = (w_star + w_star.T) / 2.0
@@ -155,6 +153,8 @@ def fit_corrected_model(
     factors are then corrected by ``fit_corrected_model_from_factors``, the
     one sequence of fit stages.  Total cost O(N m^2 + m^3).
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown correction mode {mode!r}; expected one of {MODES}")
     if landmarks is None:
         if m is None:
             raise ValueError("pass either m or an explicit landmark list")

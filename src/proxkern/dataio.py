@@ -183,13 +183,15 @@ def checked_landmarks(path: str | Path, landmarks: np.ndarray, n: int) -> np.nda
 def read_matrix(path: str | Path, fmt: str = "pmx", kind: Kind | None = None) -> ProximityMatrix:
     """Read a proximity matrix from ``path``.
 
-    ``fmt`` is ``"pmx"`` or ``"csv"``.  The PMX header carries the kind;
-    for CSV it must be passed explicitly.
+    ``fmt`` is ``"pmx"`` or ``"csv"``.  A PMX header carries the kind, which
+    ``kind`` must match if given; for CSV, ``kind`` is required.
     """
     path = Path(path)
     if fmt == "pmx":
-        values, kind = _read_grid(path, _PMX_HEADER, _PMX_MAGIC)
-        return ProximityMatrix.from_values(kind, values)
+        values, stored = _read_grid(path, _PMX_HEADER, _PMX_MAGIC)
+        if kind not in (None, stored):
+            raise DataError(f"{path}: kind {kind.name.lower()} contradicts the PMX header")
+        return ProximityMatrix.from_values(stored, values)
     if fmt == "csv":
         if kind is None:
             raise DataError("CSV files carry no kind flag; pass kind explicitly")
@@ -381,10 +383,6 @@ def ball_dataset(
     dissimilarity matrix and the 0/1 label vector.
     """
     centers, radii, labels = ball_centers(n_per_class, dim, radius_a, radius_b, box, seed)
-    diff = centers[:, None, :] - centers[None, :, :]
-    center_dist = np.sqrt((diff**2).sum(axis=-1))
-    surface = center_dist - radii[:, None] - radii[None, :]
-    values = surface**2
-    np.fill_diagonal(values, 0.0)
+    values = np.stack([ball_surface_row(centers, radii, i) for i in range(len(radii))])
     values = (values + values.T) / 2.0
     return ProximityMatrix(Kind.SQUARED_DISSIMILARITY, values), labels

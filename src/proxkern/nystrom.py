@@ -41,7 +41,7 @@ class RowOracle:
 
     Wraps either a dense array or a callable ``row(i) -> ndarray`` of length
     ``n``.  Every fetched entry is counted, so callers can assert linear
-    access patterns.
+    access patterns.  A non-finite entry in a fetched row raises ``DataError``.
     """
 
     def __init__(self, row_fn: Callable[[int], np.ndarray], n: int):
@@ -59,6 +59,8 @@ class RowOracle:
         if r.shape != (self.n,):
             raise ValueError(f"row oracle returned shape {r.shape}, expected ({self.n},)")
         self.entries_touched += self.n
+        if not np.isfinite(r).all():
+            raise DataError(f"non-finite entry at ({int(i)}, {np.argmin(np.isfinite(r))})")
         return r
 
 
@@ -150,9 +152,6 @@ def nystrom_factors(
     if len(np.unique(landmarks)) != len(landmarks):
         raise ValueError("landmark indices must be distinct")
     rows = np.stack([oracle.row(i) for i in landmarks])  # m x N
-    if not np.isfinite(rows).all():
-        i, j = np.argwhere(~np.isfinite(rows))[0]
-        raise DataError(f"non-finite entry at ({int(landmarks[i])}, {int(j)})")
     cross = rows.T.copy()
     core = cross[landmarks]
     core = (core + core.T) / 2.0

@@ -1,0 +1,27 @@
+"""The benchmark's tracer hooks still name functions of proxkern.
+
+``perfbench/spans.py`` reports a hook whose target is gone as absent instead
+of failing, so a rename in ``src`` would silently drop a span from traced
+runs.  This test turns that drift into a failure.
+"""
+
+import importlib.util
+from pathlib import Path
+
+
+def load_spans():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_hook_but_the_known_stale_one_resolves():
+    tracer = load_spans().Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    # the one hook left over from the removed squared-spectrum fit
+    assert tracer.absent == {"proxkern.corrections.sym_eig"}

@@ -226,6 +226,13 @@ def test_bench_scaling_small(tmp_path):
     assert {row["pipeline"] for row in payload["result"]} == {"proposed", "standard"}
 
 
+def test_bench_scaling_rejects_odd_size_before_running(monkeypatch):
+    calls = []
+    monkeypatch.setattr("proxkern.cli.benchmark_scaling", lambda *args, **kwargs: calls.append(args) or [])
+    assert run(["bench", "scaling", "--n", "20", "--n", "21", "--m", "5"]) == 2
+    assert calls == []
+
+
 def test_usage_error_exit_code():
     assert run(["frobnicate"]) == 1
     assert run(["convert", "--in", "x.pmx", "--to", "nowhere", "--out", "y.pmx"]) == 1
@@ -233,6 +240,10 @@ def test_usage_error_exit_code():
 
 def test_missing_file_is_data_error(tmp_path):
     assert run(["convert", "--in", str(tmp_path / "nope.pmx"), "--to", "sim", "--out", str(tmp_path / "o.pmx")]) == 2
+
+
+def test_directory_input_is_data_error(tmp_path):
+    assert run(["convert", "--in", str(tmp_path), "--to", "sim", "--out", str(tmp_path / "o.pmx")]) == 2
 
 
 def test_kind_mismatch_is_data_error(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from proxkern import (
     Kind,
+    RowOracle,
     build_corrected_model,
     correct_eigenvalues,
     corrected_block,
@@ -182,6 +183,12 @@ class TestFitPipeline:
         model_b = fit_corrected_model(d, landmarks=lm, mode="flip")
         assert np.allclose(model_a.w_star, model_b.w_star)
         assert np.allclose(model_a.cross, model_b.cross)
+
+    def test_unknown_mode_fails_before_any_fetch(self):
+        oracle = RowOracle.from_matrix(random_symmetric(20, np.random.default_rng(16)))
+        with pytest.raises(ValueError, match="mode"):
+            fit_corrected_model(oracle, m=5, mode="bogus")
+        assert oracle.entries_touched == 0
 
 
 class TestSerialization:

@@ -128,6 +128,13 @@ class TestPmx:
         with pytest.raises(DataError, match=r"\(0, 1\)"):
             read_matrix(path, "pmx")
 
+    def test_kind_must_agree_with_header(self, tmp_path):
+        path = tmp_path / "d.pmx"
+        write_matrix(ProximityMatrix(Kind.SQUARED_DISSIMILARITY, 1.0 - np.eye(3)), path, "pmx")
+        with pytest.raises(DataError, match="contradicts the PMX header"):
+            read_matrix(path, "pmx", Kind.SIMILARITY)
+        assert read_matrix(path, "pmx", Kind.SQUARED_DISSIMILARITY).kind is Kind.SQUARED_DISSIMILARITY
+
 
 class TestBlocks:
     def test_rectangular_round_trip(self, tmp_path):
@@ -196,6 +203,16 @@ class TestLabels:
             read_labels(path)
 
 
+def dense_ball_values(centers, radii):
+    """Squared surface distances from the all-pairs formula, the reference for the row builder."""
+    diff = centers[:, None, :] - centers[None, :, :]
+    center_dist = np.sqrt((diff**2).sum(axis=-1))
+    surface = center_dist - radii[:, None] - radii[None, :]
+    values = surface**2
+    np.fill_diagonal(values, 0.0)
+    return (values + values.T) / 2.0
+
+
 class TestBallDataset:
     def test_two_ball_entry_from_formula(self):
         # centers 1.0 apart, radii 0.2 and 0.3: surface gap 0.5, squared 0.25
@@ -217,6 +234,15 @@ class TestBallDataset:
         matrix, _ = ball_dataset(10, seed=5)
         for i in range(matrix.n):
             assert np.allclose(matrix.values[i], ball_surface_row(centers, radii, i))
+
+    @pytest.mark.parametrize(
+        "n_per_class, dim, box, seed",
+        [(15, 5, None, 11), (40, 5, None, 3), (7, 2, None, 1), (25, 3, 9.0, 2), (30, 16, 20.0, 7)],
+    )
+    def test_matches_dense_formula_exactly(self, n_per_class, dim, box, seed):
+        centers, radii, _ = ball_centers(n_per_class, dim, box=box, seed=seed)
+        matrix, _ = ball_dataset(n_per_class, dim, box=box, seed=seed)
+        assert np.array_equal(matrix.values, dense_ball_values(centers, radii))
 
     def test_deterministic_per_seed(self):
         a, la = ball_dataset(8, seed=6)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from proxkern import (
+    DataError,
     Kind,
     ProximityMatrix,
     RowOracle,
@@ -97,6 +98,19 @@ class TestFactors:
         oracle = RowOracle.from_matrix(m)
         nystrom_factors(oracle, np.arange(10), kind=Kind.SIMILARITY)
         assert oracle.entries_touched == 10 * 50
+
+    def test_non_finite_row_raises_when_fetched(self):
+        values = random_symmetric(12, np.random.default_rng(6))
+        values[6, 3] = np.nan
+        fetched = []
+
+        def row(i):
+            fetched.append(i)
+            return values[i]
+
+        with pytest.raises(DataError, match=r"non-finite entry at \(6, 3\)"):
+            nystrom_factors(RowOracle(row, 12), np.array([1, 4, 6, 8, 9]), kind=Kind.SIMILARITY)
+        assert fetched == [1, 4, 6]
 
     def test_landmark_block_psd_diagonal(self):
         rng = np.random.default_rng(5)
