@@ -64,56 +64,46 @@ class Kind(enum.Enum):
 class ProximityMatrix:
     """A dense symmetric proximity matrix tagged with its interpretation.
 
-    ``values`` is an ``n x n`` float64 array.  For squared dissimilarities
-    the diagonal is zero and all entries are nonnegative.  ``asymmetric``
-    records whether symmetrization changed the input noticeably.
+    ``values`` is an ``n x n`` float64 array, checked to be finite and then
+    symmetrized as ``(a + a.T) / 2``; exactly symmetric input is kept as
+    given.  ``asymmetric`` is set when the input's maximum asymmetry exceeds
+    ``1e-9 * max|value|``.  For squared dissimilarities the diagonal is zero
+    and all entries are nonnegative.
     """
 
     kind: Kind
     values: np.ndarray
-    asymmetric: bool = field(default=False)
+    asymmetric: bool = field(init=False, default=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
-            raise DataError(f"matrix must be square, got shape {self.values.shape}")
-        _check_finite(self.values)
-        if self.kind is Kind.SQUARED_DISSIMILARITY:
-            diag = np.abs(np.diag(self.values))
-            scale = np.abs(self.values).max() if self.values.size else 0.0
-            if diag.size and diag.max() > _DIAG_TOL * max(scale, 1.0):
+        a = np.asarray(self.values, dtype=np.float64)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise DataError(f"matrix must be square, got shape {a.shape}")
+        _check_finite(a)
+        # compared bit for bit, so -0.0 facing 0.0 is still averaged to 0.0
+        if not np.array_equal(a.view(np.uint64), a.T.view(np.uint64)):
+            scale = max(a.max(), -a.min())
+            self.asymmetric = bool(np.abs(a - a.T).max() > _ASYM_WARN * scale)
+            a = (a + a.T) / 2.0
+        self.values = a
+        if self.kind is Kind.SQUARED_DISSIMILARITY and a.size:
+            diag = np.abs(np.diag(a))
+            if diag.max() > _DIAG_TOL * max(a.max(), -a.min(), 1.0):
                 i = int(diag.argmax())
                 raise DataError(
                     f"squared dissimilarity matrix has nonzero diagonal at ({i}, {i}): "
-                    f"{self.values[i, i]}"
+                    f"{a[i, i]}"
                 )
-            if self.values.size and self.values.min() < 0:
-                i, j = np.unravel_index(int(self.values.argmin()), self.values.shape)
+            if a.min() < 0:
+                i, j = np.unravel_index(int(a.argmin()), a.shape)
                 raise DataError(
                     f"squared dissimilarity matrix has negative entry at ({i}, {j}): "
-                    f"{self.values[i, j]}"
+                    f"{a[i, j]}"
                 )
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    @classmethod
-    def from_values(cls, kind: Kind, values: np.ndarray) -> "ProximityMatrix":
-        """Build a matrix from possibly slightly asymmetric data.
-
-        The input is symmetrized as ``(a + a.T) / 2``.  If the maximum
-        asymmetry exceeds ``1e-9 * max|value|`` the result is flagged.
-        """
-        a = np.asarray(values, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DataError(f"matrix must be square, got shape {a.shape}")
-        _check_finite(a)
-        asym = np.abs(a - a.T).max() if a.size else 0.0
-        scale = np.abs(a).max() if a.size else 0.0
-        flagged = bool(scale > 0 and asym > _ASYM_WARN * scale)
-        sym = (a + a.T) / 2.0
-        return cls(kind=kind, values=sym, asymmetric=flagged)
 
 
 def _check_finite(a: np.ndarray) -> None:
@@ -184,14 +174,16 @@ def read_matrix(path: str | Path, fmt: str = "pmx", kind: Kind | None = None) ->
     """Read a proximity matrix from ``path``.
 
     ``fmt`` is ``"pmx"`` or ``"csv"``.  A PMX header carries the kind, which
-    ``kind`` must match if given; for CSV, ``kind`` is required.
+    ``kind`` must match if given; for CSV, ``kind`` is required.  The values
+    go through the ``ProximityMatrix`` constructor, which checks and
+    symmetrizes them in one pass and flags asymmetric input.
     """
     path = Path(path)
     if fmt == "pmx":
         values, stored = _read_grid(path, _PMX_HEADER, _PMX_MAGIC)
         if kind not in (None, stored):
             raise DataError(f"{path}: kind {kind.name.lower()} contradicts the PMX header")
-        return ProximityMatrix.from_values(stored, values)
+        return ProximityMatrix(stored, values)
     if fmt == "csv":
         if kind is None:
             raise DataError("CSV files carry no kind flag; pass kind explicitly")
@@ -242,7 +234,7 @@ def _read_csv(path: Path, kind: Kind) -> ProximityMatrix:
     if widths != {n}:
         bad = next(i for i, r in enumerate(rows) if len(r) != n)
         raise DataError(f"{path}: row {bad} has {len(rows[bad])} fields, expected {n}")
-    return ProximityMatrix.from_values(kind, np.array(rows, dtype=np.float64))
+    return ProximityMatrix(kind, np.array(rows, dtype=np.float64))
 
 
 def _parses(s: str) -> bool:
@@ -384,5 +376,4 @@ def ball_dataset(
     """
     centers, radii, labels = ball_centers(n_per_class, dim, radius_a, radius_b, box, seed)
     values = np.stack([ball_surface_row(centers, radii, i) for i in range(len(radii))])
-    values = (values + values.T) / 2.0
     return ProximityMatrix(Kind.SQUARED_DISSIMILARITY, values), labels

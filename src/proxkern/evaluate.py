@@ -221,11 +221,6 @@ def crossvalidate(
             elif method == "corrected":
                 factors = NystromFactors(matrix.kind, landmarks, f_train, core, core_pinv)
                 model = fit_corrected_model_from_factors(factors, mode)
-                if model.r is None:
-                    raise ValueError(
-                        f"mode {mode!r} left negative directions; "
-                        "the classifier needs clip or flip"
-                    )
                 f_train, f_test = extend_features(model, f_train), extend_features(model, f_test)
             weights = fit_ridge_classifier(f_train, labels[train_idx], lam)
             predicted = predict_classes(f_test, weights)
@@ -254,8 +249,7 @@ def convergence_probe(
         raise ValueError("more landmarks than grid points")
     grid = np.arange(grid_n)
     x = (grid + 0.5) / grid_n
-    full = np.asarray(kernel(x[:, None], x[None, :]), dtype=np.float64)
-    full = (full + full.T) / 2.0
+    full = ProximityMatrix(Kind.SIMILARITY, kernel(x[:, None], x[None, :])).values
     rng = np.random.default_rng(seed)
     errors = np.empty(len(m_list))
     for pos, m in enumerate(m_list):

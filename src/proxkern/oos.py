@@ -56,7 +56,9 @@ def extend_features(model: CorrectedModel, prox_new: np.ndarray) -> np.ndarray:
     which exists for clip and flip (and any psd corrected spectrum).
     """
     if model.r is None:
-        raise ValueError(f"mode {model.mode!r} left negative directions; no real feature map")
+        raise ValueError(
+            f"mode {model.mode!r} left negative directions; no real feature map (use clip or flip)"
+        )
     prox_new = np.atleast_2d(np.asarray(prox_new, dtype=np.float64))
     if model.stats is not None:
         prox_new = center_dissimilarity_rows(prox_new, model.stats)

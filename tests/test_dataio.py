@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from proxkern import dataio
 from proxkern import (
     DataError,
     Kind,
@@ -155,7 +158,7 @@ class TestBlocks:
     def test_square_pmx_block_is_not_symmetrized(self, tmp_path):
         block = np.arange(9, dtype=float).reshape(3, 3)
         path = tmp_path / "q.pmx"
-        write_matrix(ProximityMatrix(Kind.SIMILARITY, block), path, "pmx")
+        path.write_bytes(b"PMX1\x00" + (3).to_bytes(8, "little") + block.astype("<f8").tobytes())
         back, _ = read_block(path)
         assert np.array_equal(back, block)
 
@@ -187,6 +190,69 @@ class TestMatrixInvariants:
     def test_non_square_rejected(self):
         with pytest.raises(DataError, match="square"):
             ProximityMatrix(Kind.SIMILARITY, np.zeros((2, 3)))
+
+    def test_direct_construction_symmetrizes_and_flags(self):
+        m = ProximityMatrix(Kind.SIMILARITY, np.array([[1.0, 2.0], [4.0, 1.0]]))
+        assert np.array_equal(m.values, [[1.0, 3.0], [3.0, 1.0]])
+        assert m.asymmetric
+
+    def test_symmetric_input_kept_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((6, 6))
+        a = (a + a.T) / 2
+        before = a.copy()
+        m = ProximityMatrix(Kind.SIMILARITY, a)
+        assert m.values is a
+        assert np.array_equal(m.values.view(np.uint64), before.view(np.uint64))
+        assert not m.asymmetric
+
+    def test_mismatched_signed_zeros_are_averaged(self):
+        m = ProximityMatrix(Kind.SQUARED_DISSIMILARITY, np.array([[0.0, -0.0], [0.0, 0.0]]))
+        assert not np.signbit(m.values).any()
+        assert not m.asymmetric
+
+    def test_asymmetric_is_not_an_init_argument(self):
+        with pytest.raises(TypeError):
+            ProximityMatrix(Kind.SIMILARITY, np.eye(2), asymmetric=True)
+
+
+def _symmetric_pmx(path, kind, n, seed):
+    a = np.random.default_rng(seed).uniform(0.0, 1.0, (n, n))
+    a = (a + a.T) / 2
+    if kind is Kind.SQUARED_DISSIMILARITY:
+        np.fill_diagonal(a, 0.0)
+    write_matrix(ProximityMatrix(kind, a), path, "pmx")
+    return a
+
+
+class TestReadCost:
+    def test_symmetric_pmx_is_scanned_for_finiteness_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.pmx"
+        _symmetric_pmx(path, Kind.SIMILARITY, 50, seed=8)
+        calls = []
+        check = dataio._check_finite
+
+        def counting(a):
+            calls.append(a.shape)
+            check(a)
+
+        monkeypatch.setattr(dataio, "_check_finite", counting)
+        read_matrix(path, "pmx")
+        assert calls == [(50, 50)]
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_symmetric_pmx_read_peak_below_one_and_a_half_payloads(self, tmp_path, kind):
+        n = 1000
+        path = tmp_path / "s.pmx"
+        a = _symmetric_pmx(path, kind, n, seed=9)
+        tracemalloc.start()
+        try:
+            m = read_matrix(path, "pmx")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(m.values, a)
+        assert peak < 1.5 * 8 * n * n
 
 
 class TestLabels:
