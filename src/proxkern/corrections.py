@@ -159,24 +159,40 @@ def fit_corrected_model(
         if m is None:
             raise ValueError("pass either m or an explicit landmark list")
         landmarks = select_landmarks(as_row_oracle(source).n, m, seed)
-    # no local holds the factors, so a raw dissimilarity block is freed once centered
-    return fit_corrected_model_from_factors(nystrom_factors(source, landmarks, kind=kind), mode)
+    # the fit owns the blocks it gathers, so a dissimilarity block is centered where it
+    # lies; passed inline, the factors have no other holder once the fit drops them
+    return fit_corrected_model_from_factors(
+        nystrom_factors(source, landmarks, kind=kind), mode, overwrite_cross=True
+    )
 
 
-def fit_corrected_model_from_factors(factors: NystromFactors, mode: str) -> CorrectedModel:
+def fit_corrected_model_from_factors(
+    factors: NystromFactors, mode: str, overwrite_cross: bool = False
+) -> CorrectedModel:
     """Correct landmark factors: centering, eigendecomposition, model build.
 
     Squared dissimilarities are double centered first, with the factors'
     own core pseudo-inverse, and only the centered core is inverted anew;
     the centering statistics travel with the model so new dissimilarity
     rows can be extended later.  Similarities are corrected directly.
+
+    The factors are left unchanged by default, and the centered cross block
+    is a new array.  With ``overwrite_cross`` the caller hands over a
+    dissimilarity cross block it no longer needs: the block is centered
+    where it lies and becomes the model's ``cross``, so the fit holds one
+    N x m block.  The factors' core and core pseudo-inverse are never
+    written.
     """
     stats = None
     if factors.kind is Kind.SQUARED_DISSIMILARITY:
+        landmarks = factors.landmarks
+        out = factors.cross if overwrite_cross else None
         core, cross, stats = nystrom_double_center(
-            factors.cross, factors.core, core_pinv=factors.core_pinv
+            factors.cross, factors.core, core_pinv=factors.core_pinv, out=out
         )
-        factors = NystromFactors(Kind.SIMILARITY, factors.landmarks, cross, core, pinv_sym(core))
+        # drop the raw factors before the centered core is inverted; stats keeps their pinv
+        del factors
+        factors = NystromFactors(Kind.SIMILARITY, landmarks, cross, core, pinv_sym(core))
     eig = nystrom_eig_indefinite(factors)
     return build_corrected_model(eig, factors.landmarks, mode, stats=stats)
 
@@ -228,6 +244,8 @@ def load_model(path: str | Path) -> CorrectedModel:
         stats = None
         if flags & 1:
             stats_n = int(take(1, "<u8")[0])
+            if stats_n != n:
+                raise DataError(f"{path}: centering count {stats_n} differs from n={n}")
             g = float(take(1, "<f8")[0])
             s = take(m, "<f8")
             core_pinv = take(m * m, "<f8").reshape(m, m)

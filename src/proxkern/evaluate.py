@@ -220,6 +220,7 @@ def crossvalidate(
                 f_train, f_test = lmds_project(embedding, f_train), lmds_project(embedding, f_test)
             elif method == "corrected":
                 factors = NystromFactors(matrix.kind, landmarks, f_train, core, core_pinv)
+                # f_train is extended below, so the fit centers a copy and leaves it as it is
                 model = fit_corrected_model_from_factors(factors, mode)
                 f_train, f_test = extend_features(model, f_train), extend_features(model, f_test)
             weights = fit_ridge_classifier(f_train, labels[train_idx], lam)

@@ -139,7 +139,10 @@ def nystrom_factors(
     """Build the landmark blocks, touching only ``N * m`` source entries.
 
     The cross block is assembled from the m landmark rows (the source is
-    symmetric, so landmark rows equal landmark columns).
+    symmetric, so landmark rows equal landmark columns): each fetched row is
+    written straight into its column of one preallocated N x m array, so no
+    second copy of the block exists.  The returned ``cross`` and ``core``
+    are new arrays owned by the caller, never views of the source.
     """
     if kind is None:
         kind = source.kind if isinstance(source, ProximityMatrix) else Kind.SIMILARITY
@@ -151,8 +154,9 @@ def nystrom_factors(
         raise ValueError("landmark index out of range")
     if len(np.unique(landmarks)) != len(landmarks):
         raise ValueError("landmark indices must be distinct")
-    rows = np.stack([oracle.row(i) for i in landmarks])  # m x N
-    cross = rows.T.copy()
+    cross = np.empty((oracle.n, len(landmarks)))
+    for j, i in enumerate(landmarks):
+        cross[:, j] = oracle.row(i)
     core = cross[landmarks]
     core = (core + core.T) / 2.0
     return NystromFactors(kind, landmarks, cross, core, pinv_sym(core))
@@ -249,6 +253,7 @@ def nystrom_double_center(
     d_core: np.ndarray,
     landmarks: np.ndarray | None = None,
     core_pinv: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, CenteringStats]:
     """Center approximated squared dissimilarities at linear cost.
 
@@ -266,6 +271,9 @@ def nystrom_double_center(
     O(N m + m^3).  Returns the two blocks plus the statistics needed to
     center out-of-sample rows with the same fixed training quantities.
     A caller that already holds ``pinv(d_core)`` passes it as ``core_pinv``.
+    The inputs are left unchanged unless ``out`` is given: it receives the
+    centered cross block, and passing ``d_cross`` itself centers that block
+    where it lies, after s, g and t are taken from its raw values.
     """
     d_cross = np.asarray(d_cross, dtype=np.float64)
     d_core = np.asarray(d_core, dtype=np.float64)
@@ -283,23 +291,28 @@ def nystrom_double_center(
     stats = CenteringStats(s=s, g=g, n=n, core_pinv=core_pinv)
     s_core = -0.5 * (d_core - s[None, :] / n - s[:, None] / n + g / n**2)
     s_core = (s_core + s_core.T) / 2.0
-    s_cross = center_dissimilarity_rows(d_cross, stats)
+    s_cross = center_dissimilarity_rows(d_cross, stats, out=out)
     return s_core, s_cross, stats
 
 
-def center_dissimilarity_rows(d_rows: np.ndarray, stats: CenteringStats) -> np.ndarray:
+def center_dissimilarity_rows(
+    d_rows: np.ndarray, stats: CenteringStats, out: np.ndarray | None = None
+) -> np.ndarray:
     """Center rows of squared dissimilarities to landmarks using fixed statistics.
 
     Applies the same formula as the cross block of ``nystrom_double_center``,
     so rows already seen at fit time reproduce their fitted values exactly.
+    The centered rows go to a new array, or to ``out`` when given, which may
+    be ``d_rows`` itself: the row sums t are taken before anything is written.
     """
     d_rows = np.asarray(d_rows, dtype=np.float64)
     if d_rows.ndim != 2 or d_rows.shape[1] != len(stats.s):
         raise ValueError(f"expected rows of width {len(stats.s)}, got shape {d_rows.shape}")
     n = stats.n
     t = d_rows @ (stats.core_pinv @ stats.s)
-    # in place, so a fit holds one centered N x m block and no temporaries
-    out = d_rows - stats.s[None, :] / n
+    # the first step fills the result and the rest update it in place, so centering
+    # allocates no N x m temporary, and no N x m block at all when out is d_rows
+    out = np.subtract(d_rows, stats.s[None, :] / n, out=out)
     out -= t[:, None] / n
     out += stats.g / n**2
     out *= -0.5

@@ -128,16 +128,29 @@ KIND_OFFSET = 4
 PNF_LANDMARKS = 21
 PNF_CROSS = PNF_LANDMARKS + 2 * 8
 PNF_CORE = PNF_CROSS + 5 * 2 * 8
+# a PCM has a flag byte where the others have a kind byte, and its mode byte after it;
+# flip-stats.pcm stores its centering count after its 30-byte header, 2 landmarks,
+# a 5 x 2 cross block, a 2 x 2 w_star and a 2 x 1 feature factor
+PCM_MODE_OFFSET = 5
+PCM_STATS_N = 30 + 2 * 8 + 5 * 2 * 8 + 2 * 2 * 8 + 2 * 1 * 8
 
 
-@pytest.mark.parametrize("name", ["dissimilarity.pmx", "block.pmb", "dissimilarity.pnf"])
+@pytest.mark.parametrize(
+    "name", ["dissimilarity.pmx", "block.pmb", "dissimilarity.pnf", "flip-stats.pcm"]
+)
 def test_corrupt_files_raise_data_error(name, tmp_path):
     _, _, read = CASES[name]
     raw = (DATA / name).read_bytes()
     bad = [raw[:cut] for cut in range(len(raw))] + [raw + b"\0"]
-    kind = bytearray(raw)
-    kind[KIND_OFFSET] = 7
-    bad.append(bytes(kind))
+    tag = bytearray(raw)
+    tag[PCM_MODE_OFFSET if name.endswith(".pcm") else KIND_OFFSET] = 7
+    bad.append(bytes(tag))
+    if name.endswith(".pcm"):
+        assert raw[PCM_STATS_N : PCM_STATS_N + 8] == (5).to_bytes(8, "little")
+        for count in (0, 6):  # a centering count that is not the header's n
+            corrupt = bytearray(raw)
+            corrupt[PCM_STATS_N : PCM_STATS_N + 8] = count.to_bytes(8, "little")
+            bad.append(bytes(corrupt))
     if name.endswith(".pnf"):
         repeated = raw[PNF_LANDMARKS + 8 : PNF_LANDMARKS + 16]
         for landmark in ((10**6).to_bytes(8, "little"), repeated):  # out of range, repeated

@@ -1,9 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from proxkern import evaluate
 from proxkern import (
     Kind,
+    NystromFactors,
+    ProximityMatrix,
     RowOracle,
+    as_row_oracle,
+    ball_dataset,
     build_corrected_model,
     correct_eigenvalues,
     corrected_block,
@@ -11,8 +18,10 @@ from proxkern import (
     fit_corrected_model,
     fit_corrected_model_from_factors,
     load_model,
+    nystrom_double_center,
     nystrom_eig_indefinite,
     nystrom_factors,
+    pinv_sym,
     reconstruct_block,
     save_model,
     sym_eig,
@@ -189,6 +198,123 @@ class TestFitPipeline:
         with pytest.raises(ValueError, match="mode"):
             fit_corrected_model(oracle, m=5, mode="bogus")
         assert oracle.entries_touched == 0
+
+
+def reference_factors(source, landmarks):
+    """The landmark blocks as once assembled: stacked m x N rows, then a transposed copy."""
+    kind = source.kind if isinstance(source, ProximityMatrix) else Kind.SQUARED_DISSIMILARITY
+    oracle = as_row_oracle(source)
+    rows = np.stack([oracle.row(i) for i in landmarks])
+    cross = rows.T.copy()
+    core = cross[landmarks]
+    core = (core + core.T) / 2.0
+    return NystromFactors(kind, landmarks, cross, core, pinv_sym(core))
+
+
+def reference_fit_from_factors(factors, mode):
+    """The fit stages with a non-mutating centering into a new N x m block."""
+    stats = None
+    if factors.kind is Kind.SQUARED_DISSIMILARITY:
+        core, cross, stats = nystrom_double_center(
+            factors.cross, factors.core, core_pinv=factors.core_pinv
+        )
+        factors = NystromFactors(Kind.SIMILARITY, factors.landmarks, cross, core, pinv_sym(core))
+    eig = nystrom_eig_indefinite(factors)
+    return build_corrected_model(eig, factors.landmarks, mode, stats=stats)
+
+
+def assert_same_model(got, want):
+    assert np.array_equal(got.landmarks, want.landmarks)
+    assert np.array_equal(got.cross, want.cross)
+    assert np.array_equal(got.w_star, want.w_star)
+    assert (got.r is None) == (want.r is None)
+    if want.r is not None:
+        assert np.array_equal(got.r, want.r)
+    assert got.ill_conditioned == want.ill_conditioned
+    assert (got.stats is None) == (want.stats is None)
+    if want.stats is not None:
+        assert np.array_equal(got.stats.s, want.stats.s)
+        assert got.stats.g == want.stats.g
+        assert got.stats.n == want.stats.n
+        assert np.array_equal(got.stats.core_pinv, want.stats.core_pinv)
+
+
+def dissimilarity_sources(matrix):
+    """The same squared dissimilarities as a matrix, an array and a computing row oracle."""
+    values = matrix.values
+    return {
+        "matrix": matrix,
+        "array": values,
+        "oracle": RowOracle(lambda i: values[i] * 1.0, matrix.n),
+    }
+
+
+class TestFitAssembly:
+    """The fit gathers landmark rows into one block and centers that block where it lies."""
+
+    @pytest.mark.parametrize("mode", ["flip", "clip", "shift", "none"])
+    @pytest.mark.parametrize("source", ["matrix", "array", "oracle"])
+    def test_bit_identical_to_stacked_assembly(self, mode, source):
+        matrix = random_indefinite_dissimilarity(60, np.random.default_rng(21))
+        landmarks = np.array([3, 11, 17, 29, 30, 44, 58])
+        sources = dissimilarity_sources(matrix)
+        kind = Kind.SQUARED_DISSIMILARITY
+        got = fit_corrected_model(sources[source], kind=kind, landmarks=landmarks, mode=mode)
+        want = reference_fit_from_factors(reference_factors(sources[source], landmarks), mode)
+        assert_same_model(got, want)
+
+    def test_crossvalidate_accuracies_identical_to_stacked_assembly(self, monkeypatch):
+        matrix, labels = ball_dataset(30, seed=4)
+        args = dict(m=12, mode="flip", folds=3, repeats=2, seed=7)
+        got = evaluate.crossvalidate(matrix, labels, **args).accuracies
+        monkeypatch.setattr(evaluate, "fit_corrected_model_from_factors", reference_fit_from_factors)
+        want = evaluate.crossvalidate(matrix, labels, **args).accuracies
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("source", ["matrix", "array"])
+    def test_fit_leaves_caller_values_unchanged(self, source):
+        matrix = random_indefinite_dissimilarity(30, np.random.default_rng(22))
+        before = matrix.values.copy()
+        src = dissimilarity_sources(matrix)[source]
+        fit_corrected_model(src, kind=Kind.SQUARED_DISSIMILARITY, m=6, mode="flip", seed=3)
+        assert np.array_equal(matrix.values, before)
+
+    def test_factors_fit_leaves_factors_unchanged_by_default(self):
+        matrix = random_indefinite_dissimilarity(30, np.random.default_rng(23))
+        factors = nystrom_factors(matrix, np.array([1, 7, 12, 20, 26]))
+        saved = [a.copy() for a in (factors.cross, factors.core, factors.core_pinv)]
+        model = fit_corrected_model_from_factors(factors, "flip")
+        assert not np.shares_memory(model.cross, factors.cross)
+        for now, then in zip((factors.cross, factors.core, factors.core_pinv), saved):
+            assert np.array_equal(now, then)
+
+    def test_overwrite_centers_the_cross_block_where_it_lies(self):
+        matrix = random_indefinite_dissimilarity(30, np.random.default_rng(24))
+        landmarks = np.array([1, 7, 12, 20, 26])
+        want = fit_corrected_model_from_factors(nystrom_factors(matrix, landmarks), "flip")
+        factors = nystrom_factors(matrix, landmarks)
+        core, core_pinv = factors.core.copy(), factors.core_pinv.copy()
+        got = fit_corrected_model_from_factors(factors, "flip", overwrite_cross=True)
+        assert got.cross is factors.cross
+        assert_same_model(got, want)
+        assert np.array_equal(factors.core, core)
+        assert np.array_equal(factors.core_pinv, core_pinv)
+
+    def test_fit_peak_memory_is_one_cross_block(self):
+        n, m = 40_000, 20
+        x = np.random.default_rng(25).uniform(0.0, 1.0, n)
+        oracle = RowOracle(lambda i: np.abs(x - x[i]), n)
+        # one N x m block with half a block to spare, plus a few rows of oracle temporaries;
+        # stacked rows beside their transposed copy, or a centered copy beside the raw
+        # block, would need two blocks
+        budget = 1.5 * 8 * n * m + 4 * 8 * n
+        tracemalloc.start()
+        try:
+            fit_corrected_model(oracle, kind=Kind.SQUARED_DISSIMILARITY, m=m, mode="flip", seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget, f"fit peaked at {peak / 1e6:.1f} MB, budget {budget / 1e6:.1f} MB"
 
 
 class TestSerialization:

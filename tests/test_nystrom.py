@@ -112,6 +112,25 @@ class TestFactors:
             nystrom_factors(RowOracle(row, 12), np.array([1, 4, 6, 8, 9]), kind=Kind.SIMILARITY)
         assert fetched == [1, 4, 6]
 
+    def test_bad_landmarks_fail_before_any_fetch(self):
+        oracle = RowOracle.from_matrix(random_symmetric(12, np.random.default_rng(7)))
+        for landmarks in ([], [3, 12], [-1, 2], [4, 4]):
+            with pytest.raises(ValueError, match="landmark"):
+                nystrom_factors(oracle, np.array(landmarks, dtype=np.int64))
+        assert oracle.entries_touched == 0
+
+    def test_wrong_row_shape_rejected(self):
+        oracle = RowOracle(lambda i: np.zeros(11), 12)
+        with pytest.raises(ValueError, match="shape"):
+            nystrom_factors(oracle, np.array([2, 5]))
+
+    def test_blocks_are_new_arrays(self):
+        values = random_symmetric(12, np.random.default_rng(8))
+        f = sim_factors_from(values, [0, 5, 9])
+        assert not np.shares_memory(f.cross, values)
+        assert not np.shares_memory(f.core, values)
+        assert f.cross.flags.c_contiguous
+
     def test_landmark_block_psd_diagonal(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((20, 6))
@@ -365,6 +384,33 @@ class TestDoubleCenterBlocks:
         _, s_cross, stats = nystrom_double_center(d_cross, d_core, landmarks)
         again = center_dissimilarity_rows(d_cross, stats)
         assert np.abs(again - s_cross).max() <= 1e-12
+
+    def test_inputs_left_unchanged(self):
+        d = random_squared_dissimilarity(15, np.random.default_rng(20))
+        landmarks = np.array([2, 6, 10])
+        d_cross = d.values[:, landmarks]
+        d_core = d.values[np.ix_(landmarks, landmarks)]
+        saved = d_cross.copy(), d_core.copy()
+        _, _, stats = nystrom_double_center(d_cross, d_core, landmarks)
+        center_dissimilarity_rows(d_cross, stats)
+        assert np.array_equal(d_cross, saved[0])
+        assert np.array_equal(d_core, saved[1])
+
+    def test_out_centers_in_place_with_the_same_bits(self):
+        d = random_squared_dissimilarity(15, np.random.default_rng(21))
+        landmarks = np.array([2, 6, 10])
+        d_cross = d.values[:, landmarks]
+        d_core = d.values[np.ix_(landmarks, landmarks)]
+        s_core, s_cross, stats = nystrom_double_center(d_cross, d_core)
+        rows = d_cross[4:9].copy()
+        want_rows = center_dissimilarity_rows(rows, stats)
+        assert center_dissimilarity_rows(rows, stats, out=rows) is rows
+        assert np.array_equal(rows, want_rows)
+        in_core, in_cross, in_stats = nystrom_double_center(d_cross, d_core, out=d_cross)
+        assert in_cross is d_cross
+        assert np.array_equal(in_cross, s_cross)
+        assert np.array_equal(in_core, s_core)
+        assert np.array_equal(in_stats.s, stats.s) and in_stats.g == stats.g
 
 
 class TestFactorsSerialization:
