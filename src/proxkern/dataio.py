@@ -323,8 +323,12 @@ def ball_centers(
         raise ValueError("radii must be positive")
     if n_per_class < 1:
         raise ValueError("n_per_class must be at least 1")
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
     if box is None:
         box = BOX_FACTOR * (radius_a + radius_b)
+    if not box > 0:
+        raise ValueError(f"box must be positive, got {box}")
     rng = np.random.default_rng(seed)
     n = 2 * n_per_class
     radii = np.concatenate([np.full(n_per_class, radius_a), np.full(n_per_class, radius_b)])
@@ -352,11 +356,36 @@ def ball_centers(
 
 
 def ball_surface_row(centers: np.ndarray, radii: np.ndarray, i: int) -> np.ndarray:
-    """Row i of the squared surface distance matrix, computed on the fly."""
-    d = np.linalg.norm(centers - centers[i], axis=1) - radii - radii[i]
-    row = d**2
-    row[i] = 0.0
-    return row
+    """Row i of the squared surface distance matrix, computed on the fly.
+
+    The row is ``(||c_j - c_i|| - r_j - r_i)**2`` with a zero at ``i``.  Below
+    8 coordinates it adds the squared center differences one coordinate
+    column at a time, so a row takes O(N) scratch, two N-vectors of which
+    one is returned, and never forms the N×dim difference array.  For
+    float64 centers and radii the bits equal those of
+    ``np.linalg.norm(centers - centers[i], axis=1) - radii - radii[i]``,
+    squared, because numpy sums fewer than 8 terms left to right.  From 8
+    terms on it sums pairwise, so there the row keeps that expression.
+    """
+    ci = centers[i]
+    dim = centers.shape[1]
+    if dim >= 8:
+        # only this form keeps the promised bits here; no default or benchmark has dim >= 8
+        d = np.linalg.norm(centers - ci, axis=1)
+    else:
+        d = np.subtract(centers[:, 0], ci[0], dtype=np.float64)
+        d *= d
+        term = np.empty_like(d)
+        for k in range(1, dim):
+            np.subtract(centers[:, k], ci[k], out=term, dtype=np.float64)
+            term *= term
+            d += term
+        np.sqrt(d, out=d)
+    d -= radii
+    d -= radii[i]
+    d *= d
+    d[i] = 0.0
+    return d
 
 
 def ball_dataset(
@@ -375,5 +404,8 @@ def ball_dataset(
     dissimilarity matrix and the 0/1 label vector.
     """
     centers, radii, labels = ball_centers(n_per_class, dim, radius_a, radius_b, box, seed)
-    values = np.stack([ball_surface_row(centers, radii, i) for i in range(len(radii))])
+    n = len(radii)
+    values = np.empty((n, n))
+    for i in range(n):
+        values[i] = ball_surface_row(centers, radii, i)
     return ProximityMatrix(Kind.SQUARED_DISSIMILARITY, values), labels

@@ -321,7 +321,9 @@ def _run_proposed(oracle, kind, n, m, mode, seed) -> BenchRecord:
 def _run_standard(oracle, kind, n, m, mode, dense_cap) -> BenchRecord:
     if n > dense_cap:
         return BenchRecord(n, m, "standard", {}, 0.0, skipped=True)
-    dense = np.stack([oracle.row(i) for i in range(n)])
+    dense = np.empty((n, n))
+    for i in range(n):
+        dense[i] = oracle.row(i)
     dense = (dense + dense.T) / 2.0
     stages = {}
     t0 = time.perf_counter()

@@ -238,6 +238,14 @@ def test_usage_error_exit_code():
     assert run(["convert", "--in", "x.pmx", "--to", "nowhere", "--out", "y.pmx"]) == 1
 
 
+def test_gen_rejects_zero_dim(tmp_path, capsys):
+    out = tmp_path / "ball.pmx"
+    argv = ["gen", "ball", "--n", "4", "--dim", "0", "--out", str(out), "--labels", str(tmp_path / "l")]
+    assert run(argv) == 2
+    assert "dim must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_file_is_data_error(tmp_path):
     assert run(["convert", "--in", str(tmp_path / "nope.pmx"), "--to", "sim", "--out", str(tmp_path / "o.pmx")]) == 2
 

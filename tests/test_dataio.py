@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -279,6 +280,66 @@ def dense_ball_values(centers, radii):
     return (values + values.T) / 2.0
 
 
+def reference_ball_row(centers, radii, i):
+    """The row builder's former one-line formula, whose bits the column loop must keep."""
+    d = np.linalg.norm(centers - centers[i], axis=1) - radii - radii[i]
+    row = d**2
+    row[i] = 0.0
+    return row
+
+
+def center_layouts(n, dim, seed):
+    """The same kind of centers in C order, in Fortran order and as a strided view."""
+    rng = np.random.default_rng(seed)
+    wide = rng.uniform(0.0, 10.0, size=(n, 2 * dim))
+    return {
+        "C": np.ascontiguousarray(wide[:, :dim]),
+        "F": np.asfortranarray(wide[:, :dim]),
+        "strided": wide[:, ::2],
+    }, rng.uniform(0.1, 1.0, size=n)
+
+
+class TestBallSurfaceRow:
+    @pytest.mark.parametrize("dim", range(1, 17))
+    def test_bits_equal_the_reference_formula(self, dim):
+        # dims below 8 take the column loop, dims from 8 on the axis reduction
+        for n in (2, 7, 1000, 100000):
+            layouts, radii = center_layouts(n, dim, seed=1000 * dim + n)
+            for layout, centers in layouts.items():
+                for i in (0, n // 3, n - 1):
+                    got = ball_surface_row(centers, radii, i)
+                    want = reference_ball_row(centers, radii, i)
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
+                        f"dim={dim} n={n} {layout} row {i}"
+                    )
+
+    def test_row_scratch_is_two_vectors(self):
+        n = 200_000
+        layouts, radii = center_layouts(n, 5, seed=3)
+        centers = layouts["C"]
+        tracemalloc.start()
+        try:
+            ball_surface_row(centers, radii, n // 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * n
+
+    def test_golden_digests(self):
+        # a change that moves the ball data's bits must say so by editing these digests
+        matrix, _ = ball_dataset(300, seed=11)
+        assert hashlib.sha256(matrix.values.tobytes()).hexdigest() == (
+            "e0a88518330d40b6968a813cf2a8a513509f640d3e0d39fd5ed12d625c4b3443"
+        )
+        rng = np.random.default_rng(20000)
+        centers = rng.uniform(0.0, 40.0, size=(20000, 5))
+        radii = rng.uniform(0.2, 0.8, size=20000)
+        rows = np.stack([ball_surface_row(centers, radii, i) for i in (0, 1, 19999)])
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == (
+            "85bb45610d2f21af63261b4c2df66ebf42b2c6e47b59aba52973437a212f6238"
+        )
+
+
 class TestBallDataset:
     def test_two_ball_entry_from_formula(self):
         # centers 1.0 apart, radii 0.2 and 0.3: surface gap 0.5, squared 0.25
@@ -321,6 +382,18 @@ class TestBallDataset:
     def test_overfull_box_raises(self):
         with pytest.raises(ValueError, match="attempts"):
             ball_dataset(200, box=1.0, seed=0)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"dim": 0}, "dim must be at least 1"),
+            ({"box": 0.0}, "box must be positive"),
+            ({"box": -1.0}, "box must be positive"),
+        ],
+    )
+    def test_degenerate_space_raises_before_drawing(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ball_centers(2, **kwargs)
 
     def test_labels_split_by_radius(self):
         _, radii, labels = ball_centers(5, radius_a=0.25, radius_b=0.75, seed=1)
