@@ -17,9 +17,10 @@ library, the CLI, cross-validation and the scaling benchmark all call it.
 Every cut of a small eigenvalue or singular value is relative, at
 ``DEFAULT_PINV_TOL``.
 
-``save_model`` and ``load_model`` store a model as a PCM1 file through the
+``save_model`` and ``load_model`` store a model as a PCM2 file through the
 container reader and writer of ``dataio``, which every binary format of
-the package shares.
+the package shares.  PCM2 stores the cross block as it lies after a fit,
+landmark-major, so a save copies nothing; ``load_model`` still reads PCM1.
 """
 
 from __future__ import annotations
@@ -198,22 +199,29 @@ def fit_corrected_model_from_factors(
 
 
 # ---------------------------------------------------------------------------
-# serialization: "PCM1" container
+# serialization: "PCM2" container
 #
-# magic "PCM1", flag byte (bit 0: stats present, bit 1: feature factor
+# magic "PCM2", flag byte (bit 0: stats present, bit 1: feature factor
 # present, bit 2: ill-conditioned), mode byte (index into MODES), then
-# u64 n, m, k, followed by the landmark indices (u64), cross (n*m f64),
+# u64 n, m, k, followed by the landmark indices (u64), cross (m*n f64: the
+# m x N landmark-major rows, cross.T, which is how a fit holds the block),
 # w_star (m*m f64), feature factor (m*k f64 if present) and, if stats are
 # present, u64 stats_n, f64 g, s (m f64) and the dissimilarity core pinv
-# (m*m f64).  All values little-endian.
+# (m*m f64).  All values little-endian.  "PCM1" is the same layout with the
+# cross block stored row-major (n*m f64); it is read, never written.
 # ---------------------------------------------------------------------------
 
-_PCM_MAGIC = b"PCM1"
+_PCM_MAGIC = b"PCM2"
+_PCM1_MAGIC = b"PCM1"
 _PCM_HEADER = struct.Struct("<4sBBQQQ")
 
 
 def save_model(model: CorrectedModel, path: str | Path) -> None:
-    """Serialize a corrected model to the versioned PCM1 container."""
+    """Serialize a corrected model to the versioned PCM2 container.
+
+    The cross block of a fitted or PCM2-loaded model is written as it lies;
+    any other layout is copied into landmark-major order first.
+    """
     k = model.r.shape[1] if model.r is not None else 0
     flags = 0
     if model.stats is not None:
@@ -222,7 +230,7 @@ def save_model(model: CorrectedModel, path: str | Path) -> None:
         flags |= 2
     if model.ill_conditioned:
         flags |= 4
-    arrays = [(model.landmarks, "<u8"), (model.cross, "<f8"), (model.w_star, "<f8")]
+    arrays = [(model.landmarks, "<u8"), (model.cross.T, "<f8"), (model.w_star, "<f8")]
     if model.r is not None:
         arrays.append((model.r, "<f8"))
     if model.stats is not None:
@@ -233,12 +241,14 @@ def save_model(model: CorrectedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> CorrectedModel:
-    """Read a PCM1 model, raising ``DataError`` on any malformed file."""
-    with read_container(path, _PCM_HEADER, _PCM_MAGIC) as ((flags, mode_idx, n, m, k), take):
+    """Read a PCM2 or PCM1 model, raising ``DataError`` on any malformed file."""
+    with read_container(path, _PCM_HEADER, _PCM_MAGIC, _PCM1_MAGIC) as (header, take):
+        magic, flags, mode_idx, n, m, k = header
         if mode_idx >= len(MODES):
             raise DataError(f"{path}: unknown mode byte {mode_idx}")
         landmarks = checked_landmarks(path, take(m, "<u8"), n)
-        cross = take(n * m, "<f8").reshape(n, m)
+        cross = take(n * m, "<f8")
+        cross = cross.reshape(m, n).T if magic == _PCM_MAGIC else cross.reshape(n, m)
         w_star = take(m * m, "<f8").reshape(m, m)
         r = take(m * k, "<f8").reshape(m, k) if flags & 2 else None
         stats = None

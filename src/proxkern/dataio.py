@@ -123,21 +123,24 @@ def write_container(path: str | Path, header: struct.Struct, fields: tuple, arra
 
 
 @contextmanager
-def read_container(path: str | Path, header: struct.Struct, magic: bytes):
-    """Open a container and yield its header fields after the magic, and ``take``.
+def read_container(path: str | Path, header: struct.Struct, *magics: bytes):
+    """Open a container and yield its header fields, magic first, and ``take``.
 
-    ``take(count, dtype)`` reads the next ``count`` items in place.  It checks
-    their size against the file length before it allocates, so a corrupt
-    header cannot ask for a huge array.  Bytes left over when the block
-    ends are an error.  Every failure raises ``DataError``.
+    The file's magic must be one of ``magics``; a format that still reads
+    an older version lists both.  ``take(count, dtype)`` reads the next
+    ``count`` items in place.  It checks their size against the file length
+    before it allocates, so a corrupt header cannot ask for a huge array.
+    Bytes left over when the block ends are an error.  Every failure raises
+    ``DataError``.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         raw = fh.read(header.size)
-        if raw[:4] != magic:
-            raise DataError(f"{path}: bad magic {raw[:4]!r}, expected {magic!r}")
+        if raw[:4] not in magics:
+            expected = " or ".join(map(repr, magics))
+            raise DataError(f"{path}: bad magic {raw[:4]!r}, expected {expected}")
         if len(raw) < header.size:
-            raise DataError(f"{path}: truncated {magic.decode()} header")
+            raise DataError(f"{path}: truncated {raw[:4].decode()} header")
         off = header.size
 
         def take(count: int, dtype: str) -> np.ndarray:
@@ -151,7 +154,7 @@ def read_container(path: str | Path, header: struct.Struct, magic: bytes):
             off += width
             return out
 
-        yield header.unpack(raw)[1:], take
+        yield header.unpack(raw), take
         if off != size:
             raise DataError(f"{path}: {size - off} trailing bytes after the payload")
 
@@ -207,7 +210,7 @@ def write_matrix(m: ProximityMatrix, path: str | Path, fmt: str = "pmx") -> None
 
 def _read_grid(path: Path, header: struct.Struct, magic: bytes) -> tuple[np.ndarray, Kind]:
     """The float64 payload of a PMX or PMB file as stored, and its kind."""
-    with read_container(path, header, magic) as ((kind_byte, *dims), take):
+    with read_container(path, header, magic) as ((_, kind_byte, *dims), take):
         kind = checked_kind(path, kind_byte)
         shape = dims * 2 if len(dims) == 1 else dims
         values = take(shape[0] * shape[1], "<f8").reshape(shape)

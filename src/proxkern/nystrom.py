@@ -7,7 +7,9 @@ The approximation of a symmetric matrix ``K`` from ``m`` landmark columns is
 Everything in this module touches only the ``N x m`` cross block, never the
 full matrix, which is what makes the pipelines linear in N:
 
-* ``nystrom_factors`` builds the blocks from a matrix or a row oracle.
+* ``nystrom_factors`` builds the blocks from a matrix or a row oracle.  The
+  cross block is held landmark-major, as one m x N array of fetched rows;
+  every caller sees it as N x m through its transpose ``cross``.
 * ``nystrom_eig_indefinite`` (and ``nystrom_eig_psd`` for psd cores)
   computes the eigendecomposition of ``K_hat`` in O(N m^2 + m^3) from one
   row-blocked QR of the cross block and an m x m eigenproblem.
@@ -70,7 +72,7 @@ class NystromFactors:
 
     kind: Kind
     landmarks: np.ndarray  # m global indices
-    cross: np.ndarray  # N x m
+    cross: np.ndarray  # N x m; landmark-major (F-contiguous) from nystrom_factors
     core: np.ndarray  # m x m, symmetric
     core_pinv: np.ndarray  # m x m
 
@@ -140,9 +142,11 @@ def nystrom_factors(
 
     The cross block is assembled from the m landmark rows (the source is
     symmetric, so landmark rows equal landmark columns): each fetched row is
-    written straight into its column of one preallocated N x m array, so no
-    second copy of the block exists.  The returned ``cross`` and ``core``
-    are new arrays owned by the caller, never views of the source.
+    written with one contiguous write into its row of a preallocated m x N
+    array.  ``cross`` is the N x m transposed (F-contiguous) view of that
+    array, so no second copy of the block exists and its columns lie in
+    LAPACK's order.  The returned ``cross`` and ``core`` are new arrays
+    owned by the caller, never views of the source.
     """
     if kind is None:
         kind = source.kind if isinstance(source, ProximityMatrix) else Kind.SIMILARITY
@@ -154,9 +158,10 @@ def nystrom_factors(
         raise ValueError("landmark index out of range")
     if len(np.unique(landmarks)) != len(landmarks):
         raise ValueError("landmark indices must be distinct")
-    cross = np.empty((oracle.n, len(landmarks)))
+    rows = np.empty((len(landmarks), oracle.n))
     for j, i in enumerate(landmarks):
-        cross[:, j] = oracle.row(i)
+        rows[j] = oracle.row(i)
+    cross = rows.T
     core = cross[landmarks]
     core = (core + core.T) / 2.0
     return NystromFactors(kind, landmarks, cross, core, pinv_sym(core))
@@ -210,23 +215,32 @@ def _cross_svd(cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Singular values (descending) and right singular vectors of ``cross``.
 
     Only the R factor of ``cross = Q R`` is formed, as in TSQR: each block
-    of ``20 m`` rows is reduced to its R, and one more QR of the stacked
-    block Rs gives R.  Short blocks keep the Householder updates in cache,
-    which makes a tall, narrow cross block several times faster to reduce
-    than in one piece.
+    of ``20 m`` rows is reduced to its R, each group of 20 block Rs is
+    reduced to one R as soon as it is complete, and one more QR of the
+    stacked group Rs and the last partial group gives R.  Short blocks keep
+    the Householder updates in cache, which makes a tall, narrow cross block
+    several times faster to reduce than in one piece, and reducing the
+    groups as they fill keeps the stack of block Rs small.
     """
     n, m = cross.shape
     step = 20 * m
     if n > step:
-        cross = np.vstack([np.linalg.qr(cross[i : i + step], mode="r") for i in range(0, n, step)])
+        reduced, group = [], []
+        for i in range(0, n, step):
+            group.append(np.linalg.qr(cross[i : i + step], mode="r"))
+            if len(group) == 20:
+                reduced.append(np.linalg.qr(np.vstack(group), mode="r"))
+                group = []
+        cross = np.vstack(reduced + group)
     r = np.linalg.qr(cross, mode="r")
     _, sv, zt = np.linalg.svd(r, full_matrices=False)
     return sv, zt.T
 
 
 # factors container: magic "PNF1", kind byte, u64 n and m, landmark indices
-# (u64), cross (n*m f64) and core (m*m f64), all little-endian; the core
-# pseudo-inverse is recomputed on load
+# (u64), cross (n*m f64, row-major, so the writer copies a landmark-major
+# block) and core (m*m f64), all little-endian; the core pseudo-inverse is
+# recomputed on load
 _PNF_MAGIC = b"PNF1"
 _PNF_HEADER = struct.Struct("<4sBQQ")
 
@@ -238,7 +252,7 @@ def save_factors(f: NystromFactors, path) -> None:
 
 def load_factors(path) -> NystromFactors:
     """Read a PNF file, raising ``DataError`` on any malformed file."""
-    with read_container(path, _PNF_HEADER, _PNF_MAGIC) as ((kind_byte, n, m), take):
+    with read_container(path, _PNF_HEADER, _PNF_MAGIC) as ((_, kind_byte, n, m), take):
         kind = checked_kind(path, kind_byte)
         landmarks = checked_landmarks(path, take(m, "<u8"), n)
         cross = take(n * m, "<f8").reshape(n, m)

@@ -1,10 +1,14 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import proxkern
 from proxkern import (
     Kind,
     ProximityMatrix,
@@ -243,6 +247,20 @@ def test_gen_rejects_zero_dim(tmp_path, capsys):
     argv = ["gen", "ball", "--n", "4", "--dim", "0", "--out", str(out), "--labels", str(tmp_path / "l")]
     assert run(argv) == 2
     assert "dim must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("module", ["proxkern.cli", "proxkern"])
+def test_module_entry_points_run_the_cli(module, tmp_path):
+    out = tmp_path / "ball.pmx"
+    argv = ["gen", "ball", "--n", "4", "--dim", "0", "--out", str(out), "--labels", str(tmp_path / "l")]
+    src = Path(proxkern.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 2
+    assert "dim must be at least 1" in done.stderr
     assert not out.exists()
 
 

@@ -6,6 +6,12 @@ container reader and writer.  Rewriting them must give the same bytes, and
 reading them must give back the same arrays.  The arrays come from
 ``np.arange`` and exact divisions, never from a fit, so no BLAS routine can
 change a byte.
+
+The PCM files are PCM2: each is the PCM1 file of the same name under
+``tests/data/pcm1`` with magic ``PCM2`` and the cross block's bytes in
+landmark-major order.  The PCM1 files are read, never written: loading one
+must give the hand-built model, and saving that model again must give the
+PCM2 file.
 """
 
 import struct
@@ -95,6 +101,8 @@ CASES = {
 for _mode in MODES:
     CASES[f"{_mode}.pcm"] = (model(_mode, False), save_model, load_model)
     CASES[f"{_mode}-stats.pcm"] = (model(_mode, True), save_model, load_model)
+# PCM1 golden file name -> (the PCM2 golden file of the same model, the model)
+PCM1_CASES = {f"pcm1/{name}": (name, CASES[name][0]) for name in CASES if name.endswith(".pcm")}
 
 
 def assert_same(got, want):
@@ -122,6 +130,17 @@ def test_golden_bytes_and_arrays(name, tmp_path):
     assert_same(read(DATA / name), obj)
 
 
+@pytest.mark.parametrize("name", sorted(PCM1_CASES))
+def test_pcm1_files_load_and_save_as_pcm2(name, tmp_path):
+    pcm2_name, obj = PCM1_CASES[name]
+    loaded = load_model(DATA / name)
+    assert_same(loaded, obj)
+    path = tmp_path / pcm2_name
+    save_model(loaded, path)
+    assert path.read_bytes() == (DATA / pcm2_name).read_bytes()
+    assert_same(load_model(path), loaded)
+
+
 # the kind byte follows the 4-byte magic; PNF landmarks follow its 21-byte header,
 # and the golden PNF files hold 2 landmarks, a 5 x 2 cross block and a 2 x 2 core
 KIND_OFFSET = 4
@@ -136,16 +155,19 @@ PCM_STATS_N = 30 + 2 * 8 + 5 * 2 * 8 + 2 * 2 * 8 + 2 * 1 * 8
 
 
 @pytest.mark.parametrize(
-    "name", ["dissimilarity.pmx", "block.pmb", "dissimilarity.pnf", "flip-stats.pcm"]
+    "name",
+    ["dissimilarity.pmx", "block.pmb", "dissimilarity.pnf", "flip-stats.pcm", "pcm1/flip-stats.pcm"],
 )
 def test_corrupt_files_raise_data_error(name, tmp_path):
-    _, _, read = CASES[name]
+    read = load_model if name.endswith(".pcm") else CASES[name][2]
     raw = (DATA / name).read_bytes()
     bad = [raw[:cut] for cut in range(len(raw))] + [raw + b"\0"]
     tag = bytearray(raw)
     tag[PCM_MODE_OFFSET if name.endswith(".pcm") else KIND_OFFSET] = 7
     bad.append(bytes(tag))
     if name.endswith(".pcm"):
+        bad.append(b"PCM3" + raw[4:])  # a version this reader does not know
+        # PCM1 and PCM2 blocks have the same byte count, so the offset holds for both
         assert raw[PCM_STATS_N : PCM_STATS_N + 8] == (5).to_bytes(8, "little")
         for count in (0, 6):  # a centering count that is not the header's n
             corrupt = bytearray(raw)
@@ -161,7 +183,7 @@ def test_corrupt_files_raise_data_error(name, tmp_path):
             corrupt = bytearray(raw)
             corrupt[offset : offset + 8] = struct.pack("<d", float("nan"))
             bad.append(bytes(corrupt))
-    path = tmp_path / name
+    path = tmp_path / Path(name).name
     for blob in bad:
         path.write_bytes(blob)
         with pytest.raises(DataError):

@@ -201,11 +201,11 @@ class TestFitPipeline:
 
 
 def reference_factors(source, landmarks):
-    """The landmark blocks as once assembled: stacked m x N rows, then a transposed copy."""
+    """The landmark blocks assembled landmark-major: stacked m x N rows, seen through ``rows.T``."""
     kind = source.kind if isinstance(source, ProximityMatrix) else Kind.SQUARED_DISSIMILARITY
     oracle = as_row_oracle(source)
     rows = np.stack([oracle.row(i) for i in landmarks])
-    cross = rows.T.copy()
+    cross = rows.T
     core = cross[landmarks]
     core = (core + core.T) / 2.0
     return NystromFactors(kind, landmarks, cross, core, pinv_sym(core))
@@ -335,6 +335,29 @@ class TestSerialization:
         assert np.array_equal(back.stats.s, model.stats.s)
         assert np.array_equal(back.stats.core_pinv, model.stats.core_pinv)
         assert back.ill_conditioned == model.ill_conditioned
+
+    def test_save_and_load_copy_no_cross_block(self, tmp_path):
+        n, m = 200_000, 20
+        x = np.random.default_rng(19).uniform(0.0, 1.0, n)
+        oracle = RowOracle(lambda i: np.abs(x - x[i]), n)
+        model = fit_corrected_model(oracle, kind=Kind.SQUARED_DISSIMILARITY, m=m, mode="flip")
+        assert model.cross.T.flags.c_contiguous  # the fit holds the block landmark-major
+        block = 8 * n * m
+        path = tmp_path / "model.pcm"
+        tracemalloc.start()
+        try:
+            save_model(model, path)
+            saved = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = load_model(path)
+            loaded = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a transposing copy at save time, or a second block at load time, needs a block
+        assert saved < block / 10, f"save allocated {saved / 1e6:.1f} MB"
+        assert loaded < 1.1 * block, f"load peaked at {loaded / 1e6:.1f} MB"
+        assert back.cross.T.flags.c_contiguous
+        assert np.array_equal(back.cross, model.cross)
 
     def test_round_trip_without_stats(self, tmp_path):
         rng = np.random.default_rng(17)

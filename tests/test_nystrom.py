@@ -4,6 +4,7 @@ import pytest
 from proxkern import (
     DataError,
     Kind,
+    NystromFactors,
     ProximityMatrix,
     RowOracle,
     center_dissimilarity_rows,
@@ -129,7 +130,7 @@ class TestFactors:
         f = sim_factors_from(values, [0, 5, 9])
         assert not np.shares_memory(f.cross, values)
         assert not np.shares_memory(f.core, values)
-        assert f.cross.flags.c_contiguous
+        assert f.cross.T.flags.c_contiguous
 
     def test_landmark_block_psd_diagonal(self):
         rng = np.random.default_rng(5)
@@ -194,6 +195,20 @@ class TestEigPsd:
 
 
 class TestEigIndefinite:
+    def test_grouped_blocked_qr_matches_one_piece_svd(self):
+        # 2 full groups of 20 blocks of 20 m rows, then 3 blocks and a 7-row one
+        m = 4
+        n = 2 * 20 * 20 * m + 3 * 20 * m + 7
+        rng = np.random.default_rng(30)
+        cross = (rng.standard_normal((m, n)) * [[1.0], [1e-2], [1e-4], [1e-6]]).T
+        core = random_symmetric(m, rng)
+        f = NystromFactors(Kind.SIMILARITY, np.arange(m), cross, core, pinv_sym(core))
+        model = nystrom_eig_indefinite(f)
+        want = np.linalg.svd(cross, compute_uv=False)
+        assert np.allclose(model.cross_sv, want, rtol=1e-12, atol=0.0)
+        vectors = model.vectors
+        assert np.allclose(vectors.T @ vectors, np.eye(vectors.shape[1]), atol=1e-10)
+
     def test_agrees_with_psd_routine(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((20, 4))
