@@ -219,8 +219,11 @@ _PCM_HEADER = struct.Struct("<4sBBQQQ")
 def save_model(model: CorrectedModel, path: str | Path) -> None:
     """Serialize a corrected model to the versioned PCM2 container.
 
-    The cross block of a fitted or PCM2-loaded model is written as it lies;
-    any other layout is copied into landmark-major order first.
+    The cross block of a model fitted by ``fit_corrected_model`` or read by
+    ``load_model`` is written as it lies.  Any other layout, such as the
+    block of a model corrected from row-major factors, is copied into
+    landmark-major order first: one more N x m block in time and memory on
+    every save.
     """
     k = model.r.shape[1] if model.r is not None else 0
     flags = 0
@@ -248,7 +251,10 @@ def load_model(path: str | Path) -> CorrectedModel:
             raise DataError(f"{path}: unknown mode byte {mode_idx}")
         landmarks = checked_landmarks(path, take(m, "<u8"), n)
         cross = take(n * m, "<f8")
-        cross = cross.reshape(m, n).T if magic == _PCM_MAGIC else cross.reshape(n, m)
+        if magic == _PCM_MAGIC:
+            cross = cross.reshape(m, n).T
+        else:  # one transposing copy, so the model saves as PCM2 with none
+            cross = np.ascontiguousarray(cross.reshape(n, m).T).T
         w_star = take(m * m, "<f8").reshape(m, m)
         r = take(m * k, "<f8").reshape(m, k) if flags & 2 else None
         stats = None

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import os
+import stat
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -114,12 +115,30 @@ def _check_finite(a: np.ndarray) -> None:
         raise DataError(f"non-finite entry at {coord}")
 
 
+def _keep_contents(path, flags: int) -> int:
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def write_container(path: str | Path, header: struct.Struct, fields: tuple, arrays) -> None:
-    """Write ``header.pack(*fields)``, then each ``(array, dtype)`` buffer in order."""
-    with open(path, "wb") as fh:
-        fh.write(header.pack(*fields))
-        for array, dtype in arrays:
-            fh.write(np.ascontiguousarray(array, dtype=dtype))
+    """Write ``header.pack(*fields)``, then each ``(array, dtype)`` buffer in order.
+
+    An existing file is written over in place and then cut to the new
+    length.  Truncating it to zero first, as mode ``"wb"`` does, makes ext4
+    free the file's blocks, allocate them again and start writeback of the
+    whole file on close: saving a 128 MB model over its previous file took
+    about three times as long that way (2-vCPU VM).  A file that is not a
+    regular file, such as a device, is written and never cut.
+    """
+    with open(path, "wb", opener=_keep_contents) as fh:
+        try:
+            fh.write(header.pack(*fields))
+            for array, dtype in arrays:
+                fh.write(np.ascontiguousarray(array, dtype=dtype))
+        finally:
+            # cut where the writing stopped, so a failed write leaves a short file,
+            # which every reader rejects, never the old file's tail behind new bytes
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
 
 
 @contextmanager

@@ -14,8 +14,9 @@ must give the hand-built model, and saving that model again must give the
 PCM2 file.
 """
 
+import os
 import struct
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -130,11 +131,36 @@ def test_golden_bytes_and_arrays(name, tmp_path):
     assert_same(read(DATA / name), obj)
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_writing_over_a_longer_file_leaves_only_its_bytes(name, tmp_path):
+    obj, write, _ = CASES[name]
+    path = tmp_path / name
+    path.write_bytes(b"\xff" * 4096)  # the writer overwrites in place, then cuts the rest
+    write(obj, path)
+    assert path.read_bytes() == (DATA / name).read_bytes()
+
+
+def test_a_failed_write_over_a_file_leaves_one_the_reader_rejects(tmp_path):
+    path = tmp_path / "flip-stats.pcm"
+    path.write_bytes((DATA / "flip-stats.pcm").read_bytes())
+    broken = replace(CASES["flip-stats.pcm"][0], w_star=np.full((2, 2), "x"))
+    with pytest.raises(ValueError):
+        save_model(broken, path)  # fails after the cross block, over a file of the same size
+    with pytest.raises(DataError):
+        load_model(path)
+
+
+def test_writing_to_a_device_leaves_it_uncut():
+    obj, write, _ = CASES["flip-stats.pcm"]
+    write(obj, os.devnull)
+
+
 @pytest.mark.parametrize("name", sorted(PCM1_CASES))
 def test_pcm1_files_load_and_save_as_pcm2(name, tmp_path):
     pcm2_name, obj = PCM1_CASES[name]
     loaded = load_model(DATA / name)
     assert_same(loaded, obj)
+    assert loaded.cross.T.flags.c_contiguous  # held as a fit holds it, so a save copies nothing
     path = tmp_path / pcm2_name
     save_model(loaded, path)
     assert path.read_bytes() == (DATA / pcm2_name).read_bytes()
