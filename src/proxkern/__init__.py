@@ -57,10 +57,8 @@ from .nystrom import (
     nystrom_double_center,
     nystrom_eig_indefinite,
     nystrom_eig_psd,
-    load_factors,
     nystrom_factors,
     reconstruct_block,
-    save_factors,
     select_landmarks,
 )
 from .oos import extend_dissimilarities, extend_features, extend_similarities

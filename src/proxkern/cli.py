@@ -4,7 +4,6 @@ Subcommands:
 
     gen ball        generate the ball benchmark dataset (PMX + labels)
     convert         dense conversion between dissimilarities and similarities
-    approximate     build landmark factors (PNF out), optionally reconstruct (PMB out)
     correct         fit and serialize a corrected model (PCM file)
     extend          out-of-sample extension of a serialized model
     baseline        lmds / dspace feature generation
@@ -49,13 +48,7 @@ from .evaluate import (
     crossvalidate,
     proximity_fidelity,
 )
-from .nystrom import (
-    RowOracle,
-    nystrom_factors,
-    reconstruct_block,
-    save_factors,
-    select_landmarks,
-)
+from .nystrom import RowOracle, select_landmarks
 from .oos import extend_dissimilarities, extend_similarities
 from .transforms import double_center, sim_to_dis
 
@@ -98,15 +91,6 @@ def _build_parser() -> _Parser:
     convert = sub.add_parser("convert", parents=[source], help="dense D/S conversion")
     convert.add_argument("--to", choices=["sim", "dis"], required=True)
     convert.add_argument("--out", required=True)
-
-    approx = sub.add_parser(
-        "approximate", parents=[source, seed], help="build and serialize landmark factors"
-    )
-    approx.add_argument("--m", type=int, required=True)
-    approx.add_argument("--out", required=True, help="factors file (PNF)")
-    approx.add_argument(
-        "--reconstruct", default=None, help="optionally also write the dense reconstruction (PMB)"
-    )
 
     correct = sub.add_parser("correct", parents=[source, mode, seed], help="fit a corrected model")
     correct.add_argument("--m", type=int, default=None, help="landmarks (default: all rows)")
@@ -222,21 +206,6 @@ def _cmd_convert(args) -> int:
     return 0
 
 
-def _cmd_approximate(args) -> int:
-    matrix = _load(args.input, args.kind)
-    landmarks = select_landmarks(matrix.n, args.m, args.seed)
-    factors = nystrom_factors(matrix, landmarks)
-    save_factors(factors, args.out)
-    _sidecar(args.out, args)
-    if args.reconstruct:
-        full = reconstruct_block(factors, np.arange(matrix.n), np.arange(matrix.n))
-        # a reconstruction from m < n landmarks is no proximity matrix (its diagonal is
-        # not zero), so it is written as a block of the source kind, stored as computed
-        write_block(full, args.reconstruct, matrix.kind)
-        _sidecar(args.reconstruct, args)
-    return 0
-
-
 def _cmd_correct(args) -> int:
     matrix = _load(args.input, args.kind)
     m = args.m if args.m is not None else matrix.n
@@ -307,10 +276,12 @@ def _cmd_eval(args) -> int:
         }
     elif args.experiment == "fidelity":
         matrix = _load(args.input, args.kind)
+        # every landmark set is drawn before the reference fit, so a bad --m fails first
+        drawn = [select_landmarks(matrix.n, m, args.seed) for m in args.m]
         exact = fit_corrected_model(matrix, landmarks=np.arange(matrix.n), mode=args.mode)
         result = []
-        for m in args.m:
-            approx = fit_corrected_model(matrix, m=m, mode=args.mode, seed=args.seed)
+        for m, landmarks in zip(args.m, drawn):
+            approx = fit_corrected_model(matrix, landmarks=landmarks, mode=args.mode)
             result.append({"m": m, "rho": proximity_fidelity(exact, approx, args.pairs, args.seed)})
     else:
         kernels = {
@@ -353,7 +324,6 @@ def _cmd_bench(args) -> int:
 _COMMANDS = {
     "gen": _cmd_gen,
     "convert": _cmd_convert,
-    "approximate": _cmd_approximate,
     "correct": _cmd_correct,
     "extend": _cmd_extend,
     "baseline": _cmd_baseline,

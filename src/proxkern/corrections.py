@@ -160,16 +160,10 @@ def fit_corrected_model(
         if m is None:
             raise ValueError("pass either m or an explicit landmark list")
         landmarks = select_landmarks(as_row_oracle(source).n, m, seed)
-    # the fit owns the blocks it gathers, so a dissimilarity block is centered where it
-    # lies; passed inline, the factors have no other holder once the fit drops them
-    return fit_corrected_model_from_factors(
-        nystrom_factors(source, landmarks, kind=kind), mode, overwrite_cross=True
-    )
+    return fit_corrected_model_from_factors(nystrom_factors(source, landmarks, kind=kind), mode)
 
 
-def fit_corrected_model_from_factors(
-    factors: NystromFactors, mode: str, overwrite_cross: bool = False
-) -> CorrectedModel:
+def fit_corrected_model_from_factors(factors: NystromFactors, mode: str) -> CorrectedModel:
     """Correct landmark factors: centering, eigendecomposition, model build.
 
     Squared dissimilarities are double centered first, with the factors'
@@ -177,19 +171,16 @@ def fit_corrected_model_from_factors(
     the centering statistics travel with the model so new dissimilarity
     rows can be extended later.  Similarities are corrected directly.
 
-    The factors are left unchanged by default, and the centered cross block
-    is a new array.  With ``overwrite_cross`` the caller hands over a
-    dissimilarity cross block it no longer needs: the block is centered
-    where it lies and becomes the model's ``cross``, so the fit holds one
-    N x m block.  The factors' core and core pseudo-inverse are never
+    The fit takes over ``factors.cross``: it becomes the model's ``cross``,
+    and a dissimilarity block is centered where it lies, so the fit holds
+    one N x m block.  The factors' core and core pseudo-inverse are never
     written.
     """
     stats = None
     if factors.kind is Kind.SQUARED_DISSIMILARITY:
         landmarks = factors.landmarks
-        out = factors.cross if overwrite_cross else None
         core, cross, stats = nystrom_double_center(
-            factors.cross, factors.core, core_pinv=factors.core_pinv, out=out
+            factors.cross, factors.core, core_pinv=factors.core_pinv, out=factors.cross
         )
         # drop the raw factors before the centered core is inverted; stats keeps their pinv
         del factors

@@ -178,13 +178,6 @@ def read_container(path: str | Path, header: struct.Struct, *magics: bytes):
             raise DataError(f"{path}: {size - off} trailing bytes after the payload")
 
 
-def checked_kind(path: str | Path, kind_byte: int) -> Kind:
-    """The ``Kind`` a container's kind byte names."""
-    if kind_byte not in (0, 1):
-        raise DataError(f"{path}: unknown kind byte {kind_byte}")
-    return Kind(kind_byte)
-
-
 def checked_landmarks(path: str | Path, landmarks: np.ndarray, n: int) -> np.ndarray:
     """Stored landmark indices as int64, which must be distinct and below ``n``."""
     if landmarks.size and (landmarks.max() >= n or len(np.unique(landmarks)) != landmarks.size):
@@ -230,10 +223,11 @@ def write_matrix(m: ProximityMatrix, path: str | Path, fmt: str = "pmx") -> None
 def _read_grid(path: Path, header: struct.Struct, magic: bytes) -> tuple[np.ndarray, Kind]:
     """The float64 payload of a PMX or PMB file as stored, and its kind."""
     with read_container(path, header, magic) as ((_, kind_byte, *dims), take):
-        kind = checked_kind(path, kind_byte)
+        if kind_byte not in (0, 1):
+            raise DataError(f"{path}: unknown kind byte {kind_byte}")
         shape = dims * 2 if len(dims) == 1 else dims
         values = take(shape[0] * shape[1], "<f8").reshape(shape)
-    return values, kind
+    return values, Kind(kind_byte)
 
 
 def _read_csv(path: Path, kind: Kind) -> ProximityMatrix:

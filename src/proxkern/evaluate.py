@@ -157,6 +157,10 @@ def stratified_folds(labels: np.ndarray, folds: int, rng: np.random.Generator) -
     counts = np.bincount(labels)
     if counts.min() < 2:
         raise ValueError("every class needs at least two members for stratified folding")
+    if folds > counts.max():
+        raise ValueError(
+            f"{folds} folds exceed the largest class of {counts.max()}, so a fold would be empty"
+        )
     assignment = [[] for _ in range(folds)]
     for c in range(len(counts)):
         members = rng.permutation(np.where(labels == c)[0])
@@ -195,6 +199,8 @@ def crossvalidate(
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = matrix.n
+    if repeats < 1:
+        raise ValueError("need at least one repeat")
     if len(labels) != n:
         raise ValueError("label count does not match matrix size")
     if method in ("lmds", "dspace") and matrix.kind is not Kind.SQUARED_DISSIMILARITY:
@@ -220,9 +226,11 @@ def crossvalidate(
                 f_train, f_test = lmds_project(embedding, f_train), lmds_project(embedding, f_test)
             elif method == "corrected":
                 factors = NystromFactors(matrix.kind, landmarks, f_train, core, core_pinv)
-                # f_train is extended below, so the fit centers a copy and leaves it as it is
                 model = fit_corrected_model_from_factors(factors, mode)
-                f_train, f_test = extend_features(model, f_train), extend_features(model, f_test)
+                # extend_features raises for a mode with no feature map, so it runs first;
+                # the training rows need no extension, the fit centered them in model.cross
+                f_test = extend_features(model, f_test)
+                f_train = model.cross @ model.r
             weights = fit_ridge_classifier(f_train, labels[train_idx], lam)
             predicted = predict_classes(f_test, weights)
             accuracies.append(float((predicted == labels[test_idx]).mean()))
@@ -240,8 +248,8 @@ def convergence_probe(
 
     The kernel is evaluated on the regular grid of ``grid_n`` midpoints of
     [0, 1].  For each m one landmark is drawn uniformly from each of m equal
-    bins (a stratified draw, so landmarks stay well spread), the matrix is
-    approximated from those columns and ``max |K_hat - K|`` is recorded.
+    bins (a stratified draw, so landmarks stay well spread), the matrix's
+    approximation from those columns is formed and ``max |K_hat - K|`` is recorded.
     """
     m_list = list(m_list)
     if any(b <= a for a, b in zip(m_list, m_list[1:])):

@@ -13,28 +13,19 @@ full matrix, which is what makes the pipelines linear in N:
 * ``nystrom_eig_indefinite`` (and ``nystrom_eig_psd`` for psd cores)
   computes the eigendecomposition of ``K_hat`` in O(N m^2 + m^3) from one
   row-blocked QR of the cross block and an m x m eigenproblem.
-* ``nystrom_double_center`` converts approximated squared dissimilarities
-  into centered similarities in O(N m + m^3), returning the centering
+* ``nystrom_double_center`` converts the approximation of squared
+  dissimilarities into centered similarities in O(N m + m^3), returning the centering
   statistics needed later for out-of-sample queries.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .dataio import (
-    DataError,
-    Kind,
-    ProximityMatrix,
-    checked_kind,
-    checked_landmarks,
-    read_container,
-    write_container,
-)
+from .dataio import DataError, Kind, ProximityMatrix
 from .eigencore import DEFAULT_PINV_TOL, Signature, pinv_sym, signature_of, sym_eig
 
 
@@ -87,7 +78,7 @@ class NystromFactors:
 
 @dataclass
 class EigenModel:
-    """Eigendecomposition of an approximated matrix ``cross @ core_pinv @ cross.T``.
+    """Eigendecomposition of an approximation ``cross @ core_pinv @ cross.T``.
 
     ``values`` are the k retained eigenvalues (descending) and ``row_map``
     is the m x k map from landmark proximities to eigenvector coordinates:
@@ -113,7 +104,7 @@ class CenteringStats:
     """Training-set statistics that fix the centering of new dissimilarity rows."""
 
     s: np.ndarray  # per-landmark column sums over the fitted rows
-    g: float  # approximated grand sum
+    g: float  # grand sum of the approximation
     n: int  # number of fitted rows
     core_pinv: np.ndarray = field(repr=False)  # pinv of the dissimilarity core
 
@@ -175,7 +166,7 @@ def reconstruct_block(f: NystromFactors, rows: np.ndarray, cols: np.ndarray) -> 
 
 
 def nystrom_eig_psd(f: NystromFactors) -> EigenModel:
-    """Eigendecomposition of a psd approximated matrix in O(N m^2 + m^3).
+    """Eigendecomposition of a psd approximation in O(N m^2 + m^3).
 
     Checks that the core is psd, then runs ``nystrom_eig_indefinite``.
     """
@@ -188,7 +179,7 @@ def nystrom_eig_psd(f: NystromFactors) -> EigenModel:
 
 
 def nystrom_eig_indefinite(f: NystromFactors) -> EigenModel:
-    """Eigendecomposition of an arbitrary symmetric approximated matrix.
+    """Eigendecomposition of an arbitrary symmetric approximation.
 
     With the thin QR ``cross = Q R`` and the SVD ``R = U S Z^T``, the
     approximation is ``K_hat = (Q U) H (Q U)^T`` for the small symmetric
@@ -237,31 +228,6 @@ def _cross_svd(cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sv, zt.T
 
 
-# factors container: magic "PNF1", kind byte, u64 n and m, landmark indices
-# (u64), cross (n*m f64, row-major, so the writer copies a landmark-major
-# block) and core (m*m f64), all little-endian; the core pseudo-inverse is
-# recomputed on load
-_PNF_MAGIC = b"PNF1"
-_PNF_HEADER = struct.Struct("<4sBQQ")
-
-
-def save_factors(f: NystromFactors, path) -> None:
-    arrays = [(f.landmarks, "<u8"), (f.cross, "<f8"), (f.core, "<f8")]
-    write_container(path, _PNF_HEADER, (_PNF_MAGIC, f.kind.value, f.n, f.m), arrays)
-
-
-def load_factors(path) -> NystromFactors:
-    """Read a PNF file, raising ``DataError`` on any malformed file."""
-    with read_container(path, _PNF_HEADER, _PNF_MAGIC) as ((_, kind_byte, n, m), take):
-        kind = checked_kind(path, kind_byte)
-        landmarks = checked_landmarks(path, take(m, "<u8"), n)
-        cross = take(n * m, "<f8").reshape(n, m)
-        core = take(m * m, "<f8").reshape(m, m)
-    if not (np.isfinite(cross).all() and np.isfinite(core).all()):
-        raise DataError(f"{path}: non-finite value in the landmark blocks")
-    return NystromFactors(kind, landmarks, cross, core, pinv_sym(core))
-
-
 def nystrom_double_center(
     d_cross: np.ndarray,
     d_core: np.ndarray,
@@ -269,12 +235,12 @@ def nystrom_double_center(
     core_pinv: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, CenteringStats]:
-    """Center approximated squared dissimilarities at linear cost.
+    """Center the approximation of squared dissimilarities at linear cost.
 
     Implements the block form of double centering applied to the landmark
     approximation of D.  With ``s_j = sum_k d_cross[k, j]`` (exact column
-    sums over the fitted rows), ``g = s @ pinv(d_core) @ s`` (approximated
-    grand sum) and ``t = d_cross @ pinv(d_core) @ s`` (approximated row
+    sums over the fitted rows), ``g = s @ pinv(d_core) @ s`` (grand sum
+    of the approximation) and ``t = d_cross @ pinv(d_core) @ s`` (its row
     sums):
 
         S_core  = -0.5 * (d_core  - 1 s^T / N - s 1^T / N + g / N^2)

@@ -36,7 +36,7 @@ def extend_dissimilarities(model: CorrectedModel, d_new: np.ndarray) -> np.ndarr
     """Corrected similarities for new squared dissimilarity rows.
 
     Each row is centered with the training statistics frozen at fit time
-    (per-landmark column sums, approximated grand sum and the training
+    (per-landmark column sums, grand sum of the approximation and the training
     count), then extended like a similarity query.
     """
     if model.stats is None:

@@ -13,16 +13,16 @@ from proxkern import (
     Kind,
     ProximityMatrix,
     ball_dataset,
-    load_factors,
     load_model,
     read_block,
     read_matrix,
-    reconstruct_block,
     select_landmarks,
     write_block,
+    write_labels,
     write_matrix,
 )
-from proxkern.cli import _build_parser, run
+from proxkern import cli
+from proxkern.cli import _COMMANDS, _build_parser, run
 
 from conftest import random_squared_dissimilarity
 
@@ -51,6 +51,23 @@ def test_gen_then_cv_smoke(tmp_path, capsys):
     assert len(payload["result"]["fold_accuracies"]) == 8
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--folds", "8"], "largest class"), (["--repeats", "0"], "at least one repeat")],
+)
+def test_eval_cv_rejects_folds_or_repeats_that_leave_no_accuracy(flags, message, tmp_path, capsys):
+    # 5 members per class: 8 folds would leave 3 of them empty, and 0 repeats no fold at all
+    matrix, labels = ball_dataset(5)
+    pmx, lab = tmp_path / "ball.pmx", tmp_path / "ball.lab"
+    out = tmp_path / "cv.json"
+    write_matrix(matrix, pmx, "pmx")
+    write_labels(labels, lab)
+    argv = ["eval", "cv", "--in", str(pmx), "--labels", str(lab), "--m", "4", "--out", str(out)]
+    assert run(argv + flags) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_convert_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     d = random_squared_dissimilarity(12, rng)
@@ -63,42 +80,6 @@ def test_convert_round_trip(tmp_path):
     restored = read_matrix(back, "pmx")
     assert restored.kind is Kind.SQUARED_DISSIMILARITY
     assert np.abs(restored.values - d.values).max() <= 1e-10
-
-
-def test_approximate_serializes_factors(tmp_path):
-    rng = np.random.default_rng(6)
-    d = random_squared_dissimilarity(14, rng)
-    src = tmp_path / "d.pmx"
-    factors_path = tmp_path / "f.pnf"
-    recon_path = tmp_path / "r.pmb"
-    write_matrix(d, src, "pmx")
-    assert run(
-        ["approximate", "--in", str(src), "--m", "14", "--seed", "1",
-         "--out", str(factors_path), "--reconstruct", str(recon_path)]
-    ) == 0
-    factors = load_factors(factors_path)
-    assert factors.m == 14
-    recon, kind = read_block(recon_path)
-    assert kind is Kind.SQUARED_DISSIMILARITY
-    assert np.abs(recon - d.values).max() <= 1e-9 * d.values.max()
-
-
-def test_approximate_reconstructs_from_few_landmarks(tmp_path):
-    # with m < n the reconstructed diagonal is not zero, so it is no proximity matrix
-    matrix, _ = ball_dataset(40, seed=3)
-    src = tmp_path / "d.pmx"
-    factors_path = tmp_path / "f.pnf"
-    recon_path = tmp_path / "r.pmb"
-    write_matrix(matrix, src, "pmx")
-    assert run(
-        ["approximate", "--in", str(src), "--m", "10",
-         "--out", str(factors_path), "--reconstruct", str(recon_path)]
-    ) == 0
-    recon, kind = read_block(recon_path)
-    assert kind is Kind.SQUARED_DISSIMILARITY
-    everything = np.arange(matrix.n)
-    assert np.array_equal(recon, reconstruct_block(load_factors(factors_path), everything, everything))
-    assert (tmp_path / "r.pmb.json").exists()
 
 
 def test_correct_clip_on_psd_identity(tmp_path):
@@ -222,6 +203,15 @@ def test_eval_fidelity(tmp_path):
     assert payload["result"][0]["rho"] >= 0.999
 
 
+def test_eval_fidelity_rejects_a_bad_m_before_any_fit(tmp_path, monkeypatch):
+    src = tmp_path / "d.pmx"
+    write_matrix(random_squared_dissimilarity(10, np.random.default_rng(4)), src, "pmx")
+    calls = []
+    monkeypatch.setattr(cli, "fit_corrected_model", lambda *args, **kwargs: calls.append(args))
+    assert run(["eval", "fidelity", "--in", str(src), "--m", "5", "--m", "40"]) == 2
+    assert calls == []
+
+
 def test_bench_scaling_small(tmp_path):
     out = tmp_path / "bench.json"
     code = run(["bench", "scaling", "--n", "60", "--n", "120", "--m", "10", "--seed", "1", "--out", str(out)])
@@ -235,6 +225,12 @@ def test_bench_scaling_rejects_odd_size_before_running(monkeypatch):
     monkeypatch.setattr("proxkern.cli.benchmark_scaling", lambda *args, **kwargs: calls.append(args) or [])
     assert run(["bench", "scaling", "--n", "20", "--n", "21", "--m", "5"]) == 2
     assert calls == []
+
+
+def test_docstring_lists_every_subcommand():
+    listing = cli.__doc__.split("Subcommands:", 1)[1].split("Exit codes:", 1)[0]
+    listed = {line.split()[0] for line in listing.splitlines() if line.strip()}
+    assert listed == set(_COMMANDS)
 
 
 def test_usage_error_exit_code():

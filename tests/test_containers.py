@@ -1,7 +1,7 @@
 """Binary containers: golden-file byte identity and corrupt-file rejection.
 
 The files under ``tests/data`` were written from the hand-built arrays below
-by the format writers as they stood before PMX, PMB, PNF and PCM shared one
+by the format writers as they stood before PMX, PMB and PCM shared one
 container reader and writer.  Rewriting them must give the same bytes, and
 reading them must give back the same arrays.  The arrays come from
 ``np.arange`` and exact divisions, never from a fit, so no BLAS routine can
@@ -15,7 +15,6 @@ PCM2 file.
 """
 
 import os
-import struct
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -27,14 +26,10 @@ from proxkern import (
     CorrectedModel,
     DataError,
     Kind,
-    NystromFactors,
     ProximityMatrix,
-    load_factors,
     load_model,
-    pinv_sym,
     read_block,
     read_matrix,
-    save_factors,
     save_model,
     write_block,
     write_matrix,
@@ -51,13 +46,6 @@ def grid(rows: int, cols: int) -> np.ndarray:
 def symmetric(n: int) -> np.ndarray:
     a = grid(n, n)
     return a + a.T
-
-
-def factors(kind: Kind) -> NystromFactors:
-    landmarks = np.array([1, 3])
-    s = symmetric(5)
-    core = s[np.ix_(landmarks, landmarks)]
-    return NystromFactors(kind, landmarks, s[:, landmarks], core, pinv_sym(core))
 
 
 def model(mode: str, with_stats: bool) -> CorrectedModel:
@@ -96,8 +84,6 @@ CASES = {
         read_pmx,
     ),
     "block.pmb": ((grid(3, 5), Kind.SQUARED_DISSIMILARITY), write_pmb, read_block),
-    "similarity.pnf": (factors(Kind.SIMILARITY), save_factors, load_factors),
-    "dissimilarity.pnf": (factors(Kind.SQUARED_DISSIMILARITY), save_factors, load_factors),
 }
 for _mode in MODES:
     CASES[f"{_mode}.pcm"] = (model(_mode, False), save_model, load_model)
@@ -167,22 +153,19 @@ def test_pcm1_files_load_and_save_as_pcm2(name, tmp_path):
     assert_same(load_model(path), loaded)
 
 
-# the kind byte follows the 4-byte magic; PNF landmarks follow its 21-byte header,
-# and the golden PNF files hold 2 landmarks, a 5 x 2 cross block and a 2 x 2 core
+# the kind byte follows the 4-byte magic
 KIND_OFFSET = 4
-PNF_LANDMARKS = 21
-PNF_CROSS = PNF_LANDMARKS + 2 * 8
-PNF_CORE = PNF_CROSS + 5 * 2 * 8
 # a PCM has a flag byte where the others have a kind byte, and its mode byte after it;
-# flip-stats.pcm stores its centering count after its 30-byte header, 2 landmarks,
-# a 5 x 2 cross block, a 2 x 2 w_star and a 2 x 1 feature factor
+# flip-stats.pcm stores its 2 landmarks right after its 30-byte header, and its
+# centering count after them, a 5 x 2 cross block, a 2 x 2 w_star and a 2 x 1 feature factor
 PCM_MODE_OFFSET = 5
-PCM_STATS_N = 30 + 2 * 8 + 5 * 2 * 8 + 2 * 2 * 8 + 2 * 1 * 8
+PCM_LANDMARKS = 30
+PCM_STATS_N = PCM_LANDMARKS + 2 * 8 + 5 * 2 * 8 + 2 * 2 * 8 + 2 * 1 * 8
 
 
 @pytest.mark.parametrize(
     "name",
-    ["dissimilarity.pmx", "block.pmb", "dissimilarity.pnf", "flip-stats.pcm", "pcm1/flip-stats.pcm"],
+    ["dissimilarity.pmx", "block.pmb", "flip-stats.pcm", "pcm1/flip-stats.pcm"],
 )
 def test_corrupt_files_raise_data_error(name, tmp_path):
     read = load_model if name.endswith(".pcm") else CASES[name][2]
@@ -199,15 +182,10 @@ def test_corrupt_files_raise_data_error(name, tmp_path):
             corrupt = bytearray(raw)
             corrupt[PCM_STATS_N : PCM_STATS_N + 8] = count.to_bytes(8, "little")
             bad.append(bytes(corrupt))
-    if name.endswith(".pnf"):
-        repeated = raw[PNF_LANDMARKS + 8 : PNF_LANDMARKS + 16]
+        repeated = raw[PCM_LANDMARKS + 8 : PCM_LANDMARKS + 16]
         for landmark in ((10**6).to_bytes(8, "little"), repeated):  # out of range, repeated
             corrupt = bytearray(raw)
-            corrupt[PNF_LANDMARKS : PNF_LANDMARKS + 8] = landmark
-            bad.append(bytes(corrupt))
-        for offset in (PNF_CROSS + 8, PNF_CORE + 8):  # NaN in the cross block, in the core
-            corrupt = bytearray(raw)
-            corrupt[offset : offset + 8] = struct.pack("<d", float("nan"))
+            corrupt[PCM_LANDMARKS : PCM_LANDMARKS + 8] = landmark
             bad.append(bytes(corrupt))
     path = tmp_path / Path(name).name
     for blob in bad:

@@ -210,6 +210,13 @@ class TestStratifiedFolds:
         with pytest.raises(ValueError, match="two members"):
             stratified_folds(np.array([0, 0, 1]), 2, np.random.default_rng(2))
 
+    def test_more_folds_than_the_largest_class_rejected(self):
+        labels = np.array([0, 0, 0, 1, 1])
+        folds = stratified_folds(labels, 3, np.random.default_rng(3))
+        assert all(len(fold) for fold in folds)
+        with pytest.raises(ValueError, match="largest class"):
+            stratified_folds(labels, 4, np.random.default_rng(3))
+
 
 @pytest.fixture(scope="module")
 def small_ball():
@@ -260,6 +267,18 @@ class TestCrossvalidate:
         sim = ProximityMatrix(Kind.SIMILARITY, np.eye(20))
         with pytest.raises(ValueError, match="dissimilarit"):
             crossvalidate(sim, np.array([0, 1] * 10), m=4, method="lmds")
+
+    def test_empty_folds_rejected(self):
+        from proxkern import ball_dataset
+
+        matrix, labels = ball_dataset(5)
+        with pytest.raises(ValueError, match="largest class"):
+            crossvalidate(matrix, labels, m=4, folds=8, repeats=1)
+
+    def test_zero_repeats_rejected(self, small_ball):
+        matrix, labels = small_ball
+        with pytest.raises(ValueError, match="at least one repeat"):
+            crossvalidate(matrix, labels, m=8, folds=4, repeats=0)
 
     def test_uncorrected_indefinite_rejected(self, small_ball):
         matrix, labels = small_ball

@@ -428,31 +428,6 @@ class TestDoubleCenterBlocks:
         assert np.array_equal(in_stats.s, stats.s) and in_stats.g == stats.g
 
 
-class TestFactorsSerialization:
-    def test_round_trip(self, tmp_path):
-        from proxkern import load_factors, save_factors
-
-        rng = np.random.default_rng(21)
-        m = random_symmetric(12, rng)
-        f = sim_factors_from(m, np.array([1, 4, 9]))
-        path = tmp_path / "f.pnf"
-        save_factors(f, path)
-        back = load_factors(path)
-        assert back.kind is f.kind
-        assert np.array_equal(back.landmarks, f.landmarks)
-        assert np.array_equal(back.cross, f.cross)
-        assert np.array_equal(back.core, f.core)
-        assert np.allclose(back.core_pinv, f.core_pinv)
-
-    def test_bad_magic(self, tmp_path):
-        from proxkern import DataError, load_factors
-
-        path = tmp_path / "junk.pnf"
-        path.write_bytes(b"WHAT" + bytes(24))
-        with pytest.raises(DataError, match="magic"):
-            load_factors(path)
-
-
 class TestLinearCost:
     def test_touch_count_scales_linearly(self):
         rng = np.random.default_rng(20)
