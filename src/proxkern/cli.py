@@ -46,6 +46,7 @@ from .evaluate import (
     benchmark_scaling,
     convergence_probe,
     crossvalidate,
+    fidelity_pairs,
     proximity_fidelity,
 )
 from .nystrom import RowOracle, select_landmarks
@@ -276,7 +277,9 @@ def _cmd_eval(args) -> int:
         }
     elif args.experiment == "fidelity":
         matrix = _load(args.input, args.kind)
-        # every landmark set is drawn before the reference fit, so a bad --m fails first
+        # the pair count is checked and every landmark set drawn before the reference
+        # fit, so a bad --pairs or --m fails first
+        fidelity_pairs(matrix.n, args.pairs)
         drawn = [select_landmarks(matrix.n, m, args.seed) for m in args.m]
         exact = fit_corrected_model(matrix, landmarks=np.arange(matrix.n), mode=args.mode)
         result = []

@@ -318,6 +318,8 @@ DEFAULT_RADIUS_B = 0.8
 DEFAULT_DIM = 5
 BOX_FACTOR = 6.0
 _MAX_REJECTION_ATTEMPTS = 10**6
+# balls per tile of ball_surface_row: 128 kB of float64 scratch, which stays in L2
+_ROW_TILE = 1 << 14
 
 
 def ball_centers(
@@ -374,32 +376,38 @@ def ball_centers(
 def ball_surface_row(centers: np.ndarray, radii: np.ndarray, i: int) -> np.ndarray:
     """Row i of the squared surface distance matrix, computed on the fly.
 
-    The row is ``(||c_j - c_i|| - r_j - r_i)**2`` with a zero at ``i``.  Below
-    8 coordinates it adds the squared center differences one coordinate
-    column at a time, so a row takes O(N) scratch, two N-vectors of which
-    one is returned, and never forms the N×dim difference array.  For
-    float64 centers and radii the bits equal those of
-    ``np.linalg.norm(centers - centers[i], axis=1) - radii - radii[i]``,
-    squared, because numpy sums fewer than 8 terms left to right.  From 8
-    terms on it sums pairwise, so there the row keeps that expression.
+    The row is ``(||c_j - c_i|| - r_j - r_i)**2`` with a zero at ``i``.  It
+    is computed in tiles of ``_ROW_TILE`` balls, so the scratch of each
+    step stays in cache.  Below 8 coordinates a tile adds the squared center
+    differences one coordinate column at a time, so a row takes the
+    returned N-vector and one tile of scratch, and never forms the N×dim
+    difference array.  For float64 centers and radii the bits equal those
+    of ``np.linalg.norm(centers - centers[i], axis=1) - radii - radii[i]``,
+    squared, because every step is elementwise and numpy sums fewer than 8
+    terms left to right.  From 8 terms on it sums pairwise, so there each
+    tile keeps that expression.
     """
     ci = centers[i]
-    dim = centers.shape[1]
-    if dim >= 8:
-        # only this form keeps the promised bits here; no default or benchmark has dim >= 8
-        d = np.linalg.norm(centers - ci, axis=1)
-    else:
-        d = np.subtract(centers[:, 0], ci[0], dtype=np.float64)
-        d *= d
-        term = np.empty_like(d)
-        for k in range(1, dim):
-            np.subtract(centers[:, k], ci[k], out=term, dtype=np.float64)
-            term *= term
-            d += term
-        np.sqrt(d, out=d)
-    d -= radii
-    d -= radii[i]
-    d *= d
+    n, dim = centers.shape
+    d = np.empty(n)
+    term = np.empty(min(n, _ROW_TILE))
+    for a in range(0, n, _ROW_TILE):
+        tile = d[a : a + _ROW_TILE]
+        if dim >= 8:
+            # only this form keeps the promised bits here; no default or benchmark has dim >= 8
+            tile[:] = np.linalg.norm(centers[a : a + _ROW_TILE] - ci, axis=1)
+        else:
+            np.subtract(centers[a : a + _ROW_TILE, 0], ci[0], out=tile, dtype=np.float64)
+            tile *= tile
+            scratch = term[: len(tile)]
+            for k in range(1, dim):
+                np.subtract(centers[a : a + _ROW_TILE, k], ci[k], out=scratch, dtype=np.float64)
+                scratch *= scratch
+                tile += scratch
+            np.sqrt(tile, out=tile)
+        tile -= radii[a : a + _ROW_TILE]
+        tile -= radii[i]
+        tile *= tile
     d[i] = 0.0
     return d
 

@@ -74,18 +74,29 @@ def proximity_fidelity(
     n = exact_model.n
     if approx_model.n != n:
         raise ValueError("models cover different row sets")
-    total = n * (n - 1) // 2
-    if pairs is None:
-        pairs = total if n <= FULL_ENUMERATION_N else min(DEFAULT_FIDELITY_PAIRS, total)
-    if pairs < 2:
-        raise ValueError("need at least two pairs")
-    if pairs >= total:
+    pairs = fidelity_pairs(n, pairs)
+    if pairs >= n * (n - 1) // 2:
         rows, cols = np.triu_indices(n, 1)
     else:
         rows, cols = _sample_pairs(n, pairs, seed)
     exact_vals = _pair_dissimilarities(exact_model, rows, cols)
     approx_vals = _pair_dissimilarities(approx_model, rows, cols)
     return spearman_rho(exact_vals, approx_vals)
+
+
+def fidelity_pairs(n: int, pairs: int | None = None) -> int:
+    """The number of pairs ``proximity_fidelity`` compares on n rows.
+
+    ``None`` means all pairs of a small dataset and ``DEFAULT_FIDELITY_PAIRS``
+    otherwise.  Fewer than two pairs raise ``ValueError``, so a caller can
+    check a pair count before it fits the models.
+    """
+    total = n * (n - 1) // 2
+    if pairs is None:
+        pairs = total if n <= FULL_ENUMERATION_N else min(DEFAULT_FIDELITY_PAIRS, total)
+    if pairs < 2:
+        raise ValueError("need at least two pairs")
+    return pairs
 
 
 def _sample_pairs(n: int, pairs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

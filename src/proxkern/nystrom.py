@@ -20,6 +20,7 @@ full matrix, which is what makes the pipelines linear in N:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -27,6 +28,9 @@ import numpy as np
 
 from .dataio import DataError, Kind, ProximityMatrix
 from .eigencore import DEFAULT_PINV_TOL, Signature, pinv_sym, signature_of, sym_eig
+
+# bytes per row tile of center_dissimilarity_rows
+_CENTER_TILE_BYTES = 1 << 20
 
 
 class RowOracle:
@@ -205,24 +209,37 @@ def nystrom_eig_indefinite(f: NystromFactors) -> EigenModel:
 def _cross_svd(cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Singular values (descending) and right singular vectors of ``cross``.
 
-    Only the R factor of ``cross = Q R`` is formed, as in TSQR: each block
-    of ``20 m`` rows is reduced to its R, each group of 20 block Rs is
-    reduced to one R as soon as it is complete, and one more QR of the
-    stacked group Rs and the last partial group gives R.  Short blocks keep
-    the Householder updates in cache, which makes a tall, narrow cross block
-    several times faster to reduce than in one piece, and reducing the
-    groups as they fill keeps the stack of block Rs small.
+    Only the R factor of ``cross = Q R`` is formed, as in TSQR.  A block of
+    at least ``8 m`` rows is cut into leaves of ``h = min(20 m, ceil(sqrt(N m)))``
+    rows.  Each leaf is reduced to its R, which is written into one stack
+    of at most 20 leaf Rs; a full stack of 20 is reduced to one R at once,
+    and one more QR of those group Rs and the last partial stack gives R.
+    ``np.linalg.qr`` copies its input, so no copy here exceeds one leaf or
+    the stack, each about ``sqrt(N m)`` by m, where a one-piece QR would copy
+    the whole block.  Short leaves also keep the Householder updates in
+    cache, which makes a tall, narrow block several times faster to reduce.
+    A block of fewer than ``8 m`` rows, such as a cross-validation fold or
+    an m = N fit, is reduced in one piece.
     """
     n, m = cross.shape
-    step = 20 * m
-    if n > step:
-        reduced, group = [], []
-        for i in range(0, n, step):
-            group.append(np.linalg.qr(cross[i : i + step], mode="r"))
-            if len(group) == 20:
-                reduced.append(np.linalg.qr(np.vstack(group), mode="r"))
-                group = []
-        cross = np.vstack(reduced + group)
+    if n >= 8 * m:
+        h = min(20 * m, math.ceil(math.sqrt(n * m)))
+        # F-ordered like the block, so each QR's copy of the stack is a straight one
+        stack = np.empty((min(20, -(-n // h)) * m, m), order="F")
+        reduced, top, leaves = [], 0, 0
+        for i in range(0, n, h):
+            leaf = cross[i : i + h]
+            k = min(len(leaf), m)
+            stack[top : top + k] = np.linalg.qr(leaf, mode="r")
+            top += k
+            leaves += 1
+            if leaves == 20:
+                reduced.append(np.linalg.qr(stack, mode="r"))
+                top, leaves = 0, 0
+        if reduced:
+            cross = np.vstack(reduced + [stack[:top]])
+        else:
+            cross = stack[:top]
     r = np.linalg.qr(cross, mode="r")
     _, sv, zt = np.linalg.svd(r, full_matrices=False)
     return sv, zt.T
@@ -284,12 +301,31 @@ def center_dissimilarity_rows(
     so rows already seen at fit time reproduce their fitted values exactly.
     The centered rows go to a new array, or to ``out`` when given, which may
     be ``d_rows`` itself: the row sums t are taken before anything is written.
+    A block of more than one tile, about ``_CENTER_TILE_BYTES`` of rows,
+    takes the four elementwise updates tile by tile, so a tile stays in
+    cache from the first update to the last instead of the whole block
+    streaming through memory four times; the bits are those of one pass.
     """
     d_rows = np.asarray(d_rows, dtype=np.float64)
     if d_rows.ndim != 2 or d_rows.shape[1] != len(stats.s):
         raise ValueError(f"expected rows of width {len(stats.s)}, got shape {d_rows.shape}")
-    n = stats.n
     t = d_rows @ (stats.core_pinv @ stats.s)
+    step = max(1, _CENTER_TILE_BYTES // (8 * d_rows.shape[1]))
+    # a batch of query rows is one tile; the loop's set-up would cost it more than it saves
+    if len(d_rows) <= step:
+        return _center_tile(d_rows, t, stats, out)
+    if out is None:
+        out = np.empty_like(d_rows)
+    for a in range(0, len(d_rows), step):
+        _center_tile(d_rows[a : a + step], t[a : a + step], stats, out[a : a + step])
+    return out
+
+
+def _center_tile(
+    d_rows: np.ndarray, t: np.ndarray, stats: CenteringStats, out: np.ndarray | None
+) -> np.ndarray:
+    """Center rows whose row sums ``t`` are given, into ``out`` or a new array."""
+    n = stats.n
     # the first step fills the result and the rest update it in place, so centering
     # allocates no N x m temporary, and no N x m block at all when out is d_rows
     out = np.subtract(d_rows, stats.s[None, :] / n, out=out)

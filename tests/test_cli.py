@@ -212,6 +212,16 @@ def test_eval_fidelity_rejects_a_bad_m_before_any_fit(tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_eval_fidelity_rejects_too_few_pairs_before_any_fit(tmp_path, monkeypatch, capsys):
+    src = tmp_path / "d.pmx"
+    write_matrix(random_squared_dissimilarity(10, np.random.default_rng(4)), src, "pmx")
+    calls = []
+    monkeypatch.setattr(cli, "fit_corrected_model", lambda *args, **kwargs: calls.append(args))
+    assert run(["eval", "fidelity", "--in", str(src), "--m", "5", "--pairs", "1"]) == 2
+    assert calls == []
+    assert "pairs" in capsys.readouterr().err
+
+
 def test_bench_scaling_small(tmp_path):
     out = tmp_path / "bench.json"
     code = run(["bench", "scaling", "--n", "60", "--n", "120", "--m", "10", "--seed", "1", "--out", str(out)])

@@ -307,6 +307,23 @@ class TestFitAssembly:
             tracemalloc.stop()
         assert peak < budget, f"fit peaked at {peak / 1e6:.1f} MB, budget {budget / 1e6:.1f} MB"
 
+    def test_wide_fit_peak_memory_has_no_second_block(self):
+        m = 300
+        n = 16 * m
+        x = np.random.default_rng(26).uniform(0.0, 1.0, (n, 3))
+        oracle = RowOracle(lambda i: ((x - x[i]) ** 2).sum(axis=1), n)
+        # the block, one QR leaf and the stack of leaf Rs (a quarter block each at
+        # N = 16 m) and the fit's m x m arrays fit in two blocks; a one-piece QR of
+        # the block copies all of it
+        budget = 2 * 8 * n * m
+        tracemalloc.start()
+        try:
+            fit_corrected_model(oracle, kind=Kind.SQUARED_DISSIMILARITY, m=m, mode="flip", seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget, f"fit peaked at {peak / 1e6:.1f} MB, budget {budget / 1e6:.1f} MB"
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from proxkern import (
+    CenteringStats,
     DataError,
     Kind,
     NystromFactors,
@@ -19,6 +20,8 @@ from proxkern import (
     signature_of,
     sym_eig,
 )
+
+from proxkern.nystrom import _CENTER_TILE_BYTES, _cross_svd
 
 from conftest import random_squared_dissimilarity, random_symmetric
 
@@ -195,12 +198,20 @@ class TestEigPsd:
 
 
 class TestEigIndefinite:
-    def test_grouped_blocked_qr_matches_one_piece_svd(self):
-        # 2 full groups of 20 blocks of 20 m rows, then 3 blocks and a 7-row one
-        m = 4
-        n = 2 * 20 * 20 * m + 3 * 20 * m + 7
+    @pytest.mark.parametrize(
+        "m, n",
+        [
+            # tall: 2 full groups of 20 leaves of 20 m rows, then 3 leaves and a 7-row one
+            (4, 2 * 20 * 20 * 4 + 3 * 20 * 4 + 7),
+            # wide: N = 16 m takes 4 leaves of sqrt(N m) = 4 m rows, all in one stack
+            (200, 16 * 200),
+            # leaves of ceil(sqrt(833 * 50)) = 205 rows: four, then a 13-row one with a 13-row R
+            (50, 833),
+        ],
+    )
+    def test_grouped_blocked_qr_matches_one_piece_svd(self, m, n):
         rng = np.random.default_rng(30)
-        cross = (rng.standard_normal((m, n)) * [[1.0], [1e-2], [1e-4], [1e-6]]).T
+        cross = (rng.standard_normal((m, n)) * np.logspace(0, -6, m)[:, None]).T
         core = random_symmetric(m, rng)
         f = NystromFactors(Kind.SIMILARITY, np.arange(m), cross, core, pinv_sym(core))
         model = nystrom_eig_indefinite(f)
@@ -208,6 +219,15 @@ class TestEigIndefinite:
         assert np.allclose(model.cross_sv, want, rtol=1e-12, atol=0.0)
         vectors = model.vectors
         assert np.allclose(vectors.T @ vectors, np.eye(vectors.shape[1]), atol=1e-10)
+
+    @pytest.mark.parametrize("n, m", [(540, 300), (300, 300), (8 * 50 - 1, 50)])
+    def test_blocks_below_eight_m_rows_keep_the_one_piece_bits(self, n, m):
+        # cross-validation folds and m = N fits are reduced in one piece
+        cross = np.asfortranarray(np.random.default_rng(31).standard_normal((n, m)))
+        sv, z = _cross_svd(cross)
+        _, want_sv, want_zt = np.linalg.svd(np.linalg.qr(cross, mode="r"), full_matrices=False)
+        assert np.array_equal(sv, want_sv)
+        assert np.array_equal(z, want_zt.T)
 
     def test_agrees_with_psd_routine(self):
         rng = np.random.default_rng(10)
@@ -426,6 +446,24 @@ class TestDoubleCenterBlocks:
         assert np.array_equal(in_cross, s_cross)
         assert np.array_equal(in_core, s_core)
         assert np.array_equal(in_stats.s, stats.s) and in_stats.g == stats.g
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_tiles_keep_the_bits_of_one_pass(self, order, in_place):
+        m = 7
+        rows = 2 * (_CENTER_TILE_BYTES // (8 * m)) + 5  # two full tiles and a short one
+        rng = np.random.default_rng(22)
+        d_rows = np.asarray(rng.uniform(0.0, 4.0, (rows, m)), order=order)
+        stats = CenteringStats(s=rng.uniform(0.0, 50.0, m), g=321.5, n=40, core_pinv=random_symmetric(m, rng))
+        n = stats.n
+        want = d_rows - stats.s[None, :] / n
+        want -= (d_rows @ (stats.core_pinv @ stats.s))[:, None] / n
+        want += stats.g / n**2
+        want *= -0.5
+        got = center_dissimilarity_rows(d_rows, stats, out=d_rows if in_place else None)
+        assert (got is d_rows) == in_place
+        assert got.flags[f"{order}_CONTIGUOUS"]
+        assert np.array_equal(got, want)
 
 
 class TestLinearCost:
