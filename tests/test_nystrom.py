@@ -198,18 +198,25 @@ class TestEigPsd:
 
 
 class TestEigIndefinite:
+    def test_grouped_blocked_qr_matches_one_piece_svd(self):
+        # tall: 2 full groups of 20 leaves of 20 m rows, then 3 leaves and a 7-row one
+        m = 4
+        self._check_blocked_qr_matches_one_piece_svd(m, 2 * 20 * 20 * m + 3 * 20 * m + 7)
+
     @pytest.mark.parametrize(
         "m, n",
         [
-            # tall: 2 full groups of 20 leaves of 20 m rows, then 3 leaves and a 7-row one
-            (4, 2 * 20 * 20 * 4 + 3 * 20 * 4 + 7),
             # wide: N = 16 m takes 4 leaves of sqrt(N m) = 4 m rows, all in one stack
             (200, 16 * 200),
             # leaves of ceil(sqrt(833 * 50)) = 205 rows: four, then a 13-row one with a 13-row R
             (50, 833),
         ],
     )
-    def test_grouped_blocked_qr_matches_one_piece_svd(self, m, n):
+    def test_sqrt_capped_leaves_match_one_piece_svd(self, m, n):
+        self._check_blocked_qr_matches_one_piece_svd(m, n)
+
+    @staticmethod
+    def _check_blocked_qr_matches_one_piece_svd(m, n):
         rng = np.random.default_rng(30)
         cross = (rng.standard_normal((m, n)) * np.logspace(0, -6, m)[:, None]).T
         core = random_symmetric(m, rng)
