@@ -29,9 +29,6 @@ import numpy as np
 from .dataio import DataError, Kind, ProximityMatrix
 from .eigencore import DEFAULT_PINV_TOL, Signature, pinv_sym, signature_of, sym_eig
 
-# bytes per row tile of center_dissimilarity_rows
-_CENTER_TILE_BYTES = 1 << 20
-
 
 class RowOracle:
     """Row access to a symmetric matrix that may never be materialized.
@@ -234,7 +231,8 @@ def _cross_svd(cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             top += k
             leaves += 1
             if leaves == 20:
-                reduced.append(np.linalg.qr(stack, mode="r"))
+                # a short last leaf leaves rows past top unwritten or stale from the last group
+                reduced.append(np.linalg.qr(stack[:top], mode="r"))
                 top, leaves = 0, 0
         if reduced:
             cross = np.vstack(reduced + [stack[:top]])
@@ -301,31 +299,12 @@ def center_dissimilarity_rows(
     so rows already seen at fit time reproduce their fitted values exactly.
     The centered rows go to a new array, or to ``out`` when given, which may
     be ``d_rows`` itself: the row sums t are taken before anything is written.
-    A block of more than one tile, about ``_CENTER_TILE_BYTES`` of rows,
-    takes the four elementwise updates tile by tile, so a tile stays in
-    cache from the first update to the last instead of the whole block
-    streaming through memory four times; the bits are those of one pass.
     """
     d_rows = np.asarray(d_rows, dtype=np.float64)
     if d_rows.ndim != 2 or d_rows.shape[1] != len(stats.s):
         raise ValueError(f"expected rows of width {len(stats.s)}, got shape {d_rows.shape}")
-    t = d_rows @ (stats.core_pinv @ stats.s)
-    step = max(1, _CENTER_TILE_BYTES // (8 * d_rows.shape[1]))
-    # a batch of query rows is one tile; the loop's set-up would cost it more than it saves
-    if len(d_rows) <= step:
-        return _center_tile(d_rows, t, stats, out)
-    if out is None:
-        out = np.empty_like(d_rows)
-    for a in range(0, len(d_rows), step):
-        _center_tile(d_rows[a : a + step], t[a : a + step], stats, out[a : a + step])
-    return out
-
-
-def _center_tile(
-    d_rows: np.ndarray, t: np.ndarray, stats: CenteringStats, out: np.ndarray | None
-) -> np.ndarray:
-    """Center rows whose row sums ``t`` are given, into ``out`` or a new array."""
     n = stats.n
+    t = d_rows @ (stats.core_pinv @ stats.s)
     # the first step fills the result and the rest update it in place, so centering
     # allocates no N x m temporary, and no N x m block at all when out is d_rows
     out = np.subtract(d_rows, stats.s[None, :] / n, out=out)

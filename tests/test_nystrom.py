@@ -21,7 +21,7 @@ from proxkern import (
     sym_eig,
 )
 
-from proxkern.nystrom import _CENTER_TILE_BYTES, _cross_svd
+from proxkern.nystrom import _cross_svd
 
 from conftest import random_squared_dissimilarity, random_symmetric
 
@@ -210,6 +210,11 @@ class TestEigIndefinite:
             (200, 16 * 200),
             # leaves of ceil(sqrt(833 * 50)) = 205 rows: four, then a 13-row one with a 13-row R
             (50, 833),
+            # 20 leaves of ceil(sqrt(36120 * 100)) = 1901 rows, the 20th of them one row
+            (100, 36120),
+            # a second group whose 20th and last leaf has one row, leaving
+            # rows of the first group's 20th R in the stack
+            (4, 3121),
         ],
     )
     def test_sqrt_capped_leaves_match_one_piece_svd(self, m, n):
@@ -456,9 +461,9 @@ class TestDoubleCenterBlocks:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("in_place", [False, True])
-    def test_tiles_keep_the_bits_of_one_pass(self, order, in_place):
+    def test_rows_keep_the_bits_of_the_one_pass_formula(self, order, in_place):
         m = 7
-        rows = 2 * (_CENTER_TILE_BYTES // (8 * m)) + 5  # two full tiles and a short one
+        rows = 3001
         rng = np.random.default_rng(22)
         d_rows = np.asarray(rng.uniform(0.0, 4.0, (rows, m)), order=order)
         stats = CenteringStats(s=rng.uniform(0.0, 50.0, m), g=321.5, n=40, core_pinv=random_symmetric(m, rng))
