@@ -29,6 +29,10 @@ from . import __version__
 from .baselines import lmds_fit, lmds_project
 from .corrections import ILL_CONDITION_LIMIT, MODES, fit_corrected_model, load_model, save_model
 from .dataio import (
+    BOX_FACTOR,
+    DEFAULT_DIM,
+    DEFAULT_RADIUS_A,
+    DEFAULT_RADIUS_B,
     DataError,
     Kind,
     ProximityMatrix,
@@ -82,9 +86,9 @@ def _build_parser() -> _Parser:
     gen_sub = gen.add_subparsers(dest="generator", required=True)
     ball = gen_sub.add_parser("ball", parents=[seed], help="ball surface-distance dataset")
     ball.add_argument("--n", type=int, required=True, help="samples per class")
-    ball.add_argument("--dim", type=int, default=5)
-    ball.add_argument("--radius-a", type=float, default=0.2)
-    ball.add_argument("--radius-b", type=float, default=0.8)
+    ball.add_argument("--dim", type=int, default=DEFAULT_DIM)
+    ball.add_argument("--radius-a", type=float, default=DEFAULT_RADIUS_A)
+    ball.add_argument("--radius-b", type=float, default=DEFAULT_RADIUS_B)
     ball.add_argument("--box", type=float, default=None)
     ball.add_argument("--out", required=True, help="output PMX path")
     ball.add_argument("--labels", required=True, help="output label path")
@@ -302,8 +306,6 @@ def _cmd_bench(args) -> int:
         raise DataError("scaling benchmark sizes must be even (two balanced classes)")
 
     def factory(n):
-        from .dataio import BOX_FACTOR, DEFAULT_DIM, DEFAULT_RADIUS_A, DEFAULT_RADIUS_B
-
         # box grows with n^(1/dim) to keep the packing density fixed
         box = BOX_FACTOR * (DEFAULT_RADIUS_A + DEFAULT_RADIUS_B) * (n / 600.0) ** (1 / DEFAULT_DIM)
         centers, radii, _ = ball_centers(

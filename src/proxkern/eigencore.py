@@ -38,17 +38,17 @@ def sym_eig(m: np.ndarray) -> EigenPair:
     return EigenPair(vectors[:, order], values[order])
 
 
-def pinv_sym(m: np.ndarray, rel_tol: float = DEFAULT_PINV_TOL) -> np.ndarray:
+def pinv_sym(m: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudo-inverse of a symmetric matrix.
 
-    Eigenvalues with ``|v| <= rel_tol * max|v|`` are inverted to zero.  An
-    all-zero matrix maps to the zero matrix.
+    Eigenvalues with ``|v| <= DEFAULT_PINV_TOL * max|v|`` are inverted to
+    zero.  An all-zero matrix maps to the zero matrix.
     """
     vectors, values = sym_eig(m)
     scale = np.abs(values).max() if values.size else 0.0
     if scale == 0.0:
         return np.zeros_like(np.asarray(m, dtype=np.float64))
-    inv = np.where(np.abs(values) > rel_tol * scale, 1.0, 0.0)
+    inv = np.where(np.abs(values) > DEFAULT_PINV_TOL * scale, 1.0, 0.0)
     nonzero = values != 0
     inv[nonzero] = inv[nonzero] / values[nonzero]
     out = (vectors * inv) @ vectors.T

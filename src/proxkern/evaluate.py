@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -16,9 +16,8 @@ from .corrections import (
     fit_corrected_model_from_factors,
 )
 from .dataio import Kind, ProximityMatrix
-from .eigencore import pinv_sym, sym_eig
+from .eigencore import sym_eig
 from .nystrom import (
-    NystromFactors,
     RowOracle,
     as_row_oracle,
     nystrom_factors,
@@ -198,11 +197,12 @@ def crossvalidate(
     landmarks stay fixed across the folds of that repeat, so the landmark
     selection bias is averaged over repeats but never refreshed inside a
     crossvalidation.  What depends only on the landmarks is done once per
-    repeat: the landmark columns are sliced, and the raw core's
-    pseudo-inverse (corrected) or the landmark MDS embedding (lmds) is
-    computed.  Per fold the training and held-out rows are indexed from
-    those columns; the corrected model is fitted on the training rows only
-    and the held-out rows enter through the out-of-sample extension.
+    repeat: ``nystrom_factors``, the fit's own block builder, fetches the m
+    landmark rows (N * m entries) and inverts the raw core, and the lmds and
+    dspace baselines form their features for all N rows.  Per fold the
+    training and held-out rows are indexed from those blocks; the corrected
+    model is fitted on the training rows only and the held-out rows enter
+    through the out-of-sample extension.
 
     ``method`` selects the pipeline: "corrected" (landmark correction with
     the given mode), "lmds" (landmark MDS triangulation) or "dspace" (raw
@@ -224,20 +224,16 @@ def crossvalidate(
         rng = np.random.default_rng(repeat_seq)
         landmarks = select_landmarks(n, m, rng)
         fold_sets = stratified_folds(labels, folds, rng)
-        rows = matrix.values[:, landmarks]
-        core = rows[landmarks]
-        if method == "corrected":
-            core_pinv = pinv_sym(core)
-        elif method == "lmds":
-            embedding = lmds_fit(core)
+        factors = nystrom_factors(matrix, landmarks)
+        features = factors.cross
+        if method == "lmds":
+            features = lmds_project(lmds_fit(factors.core), features)
         for test_idx in fold_sets:
             train_idx = np.setdiff1d(np.arange(n), test_idx)
-            f_train, f_test = rows[train_idx], rows[test_idx]
-            if method == "lmds":
-                f_train, f_test = lmds_project(embedding, f_train), lmds_project(embedding, f_test)
-            elif method == "corrected":
-                factors = NystromFactors(matrix.kind, landmarks, f_train, core, core_pinv)
-                model = fit_corrected_model_from_factors(factors, mode)
+            f_train, f_test = features[train_idx], features[test_idx]
+            if method == "corrected":
+                # the fold's factors share the repeat's core and its pinv, which no fit writes
+                model = fit_corrected_model_from_factors(replace(factors, cross=f_train), mode)
                 # extend_features raises for a mode with no feature map, so it runs first;
                 # the training rows need no extension, the fit centered them in model.cross
                 f_test = extend_features(model, f_test)

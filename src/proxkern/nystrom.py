@@ -208,9 +208,10 @@ def _cross_svd(cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Only the R factor of ``cross = Q R`` is formed, as in TSQR.  A block of
     at least ``8 m`` rows is cut into leaves of ``h = min(20 m, ceil(sqrt(N m)))``
-    rows.  Each leaf is reduced to its R, which is written into one stack
-    of at most 20 leaf Rs; a full stack of 20 is reduced to one R at once,
-    and one more QR of those group Rs and the last partial stack gives R.
+    rows.  Each leaf's R is written into one stack with room for 20 leaf Rs;
+    when the next one would not fit, the stack is reduced to its own R in
+    its first m rows and filling goes on below it.  One last QR of the stack
+    gives R, so with at most 20 leaves R is the QR of the stacked leaf Rs.
     ``np.linalg.qr`` copies its input, so no copy here exceeds one leaf or
     the stack, each about ``sqrt(N m)`` by m, where a one-piece QR would copy
     the whole block.  Short leaves also keep the Householder updates in
@@ -223,21 +224,17 @@ def _cross_svd(cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         h = min(20 * m, math.ceil(math.sqrt(n * m)))
         # F-ordered like the block, so each QR's copy of the stack is a straight one
         stack = np.empty((min(20, -(-n // h)) * m, m), order="F")
-        reduced, top, leaves = [], 0, 0
+        top = 0
         for i in range(0, n, h):
-            leaf = cross[i : i + h]
-            k = min(len(leaf), m)
-            stack[top : top + k] = np.linalg.qr(leaf, mode="r")
+            # a leaf's R has min(leaf rows, m) = min(n - i, m) rows, as h >= m; it is written
+            # straight into the stack, so no leaf R stays alive while the next QR copies its input
+            k = min(n - i, m)
+            if top + k > len(stack):
+                stack[:m] = np.linalg.qr(stack[:top], mode="r")
+                top = m
+            stack[top : top + k] = np.linalg.qr(cross[i : i + h], mode="r")
             top += k
-            leaves += 1
-            if leaves == 20:
-                # a short last leaf leaves rows past top unwritten or stale from the last group
-                reduced.append(np.linalg.qr(stack[:top], mode="r"))
-                top, leaves = 0, 0
-        if reduced:
-            cross = np.vstack(reduced + [stack[:top]])
-        else:
-            cross = stack[:top]
+        cross = stack[:top]
     r = np.linalg.qr(cross, mode="r")
     _, sv, zt = np.linalg.svd(r, full_matrices=False)
     return sv, zt.T

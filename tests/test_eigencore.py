@@ -61,7 +61,7 @@ class TestPinvSym:
 
     def test_thresholding_rule(self):
         # 1e-18 is below 1e-12 * 4, so it is zeroed; -2 is inverted
-        out = pinv_sym(np.diag([4.0, -2.0, 1e-18]), rel_tol=1e-12)
+        out = pinv_sym(np.diag([4.0, -2.0, 1e-18]))
         assert np.allclose(out, np.diag([0.25, -0.5, 0.0]))
 
     def test_zero_matrix(self):

@@ -4,17 +4,24 @@ import pytest
 from proxkern import evaluate
 from proxkern import (
     Kind,
+    NystromFactors,
     ProximityMatrix,
     RowOracle,
     benchmark_scaling,
     convergence_probe,
     crossvalidate,
     double_center,
+    extend_features,
     fit_corrected_model,
+    fit_corrected_model_from_factors,
     fit_ridge_classifier,
+    lmds_fit,
+    lmds_project,
     loglog_slope,
+    pinv_sym,
     predict_classes,
     proximity_fidelity,
+    select_landmarks,
     spearman_rho,
     stratified_folds,
 )
@@ -54,6 +61,37 @@ def loop_sample_pairs(n, pairs, seed):
                 break
     pairs_arr = np.array(sorted(seen), dtype=np.int64)
     return pairs_arr[:, 0], pairs_arr[:, 1]
+
+
+def reference_crossvalidate(matrix, labels, m, mode="flip", folds=10, repeats=10, seed=0,
+                            method="corrected"):
+    """Reference: the CV loop that sliced the landmark columns and inverted the core itself."""
+    n = matrix.n
+    accuracies = []
+    for repeat_seq in np.random.SeedSequence(seed).spawn(repeats):
+        rng = np.random.default_rng(repeat_seq)
+        landmarks = select_landmarks(n, m, rng)
+        fold_sets = stratified_folds(labels, folds, rng)
+        rows = matrix.values[:, landmarks]
+        core = rows[landmarks]
+        if method == "corrected":
+            core_pinv = pinv_sym(core)
+        elif method == "lmds":
+            embedding = lmds_fit(core)
+        for test_idx in fold_sets:
+            train_idx = np.setdiff1d(np.arange(n), test_idx)
+            f_train, f_test = rows[train_idx], rows[test_idx]
+            if method == "lmds":
+                f_train, f_test = lmds_project(embedding, f_train), lmds_project(embedding, f_test)
+            elif method == "corrected":
+                factors = NystromFactors(matrix.kind, landmarks, f_train, core, core_pinv)
+                model = fit_corrected_model_from_factors(factors, mode)
+                f_test = extend_features(model, f_test)
+                f_train = model.cross @ model.r
+            weights = fit_ridge_classifier(f_train, labels[train_idx])
+            predicted = predict_classes(f_test, weights)
+            accuracies.append(float((predicted == labels[test_idx]).mean()))
+    return np.array(accuracies)
 
 
 class TestSpearman:
@@ -261,6 +299,40 @@ class TestCrossvalidate:
         monkeypatch.setattr(evaluate, "lmds_fit", counting_fit)
         crossvalidate(matrix, labels, m=8, folds=4, repeats=3, seed=5, method="lmds")
         assert len(calls) == 3
+
+    def test_blocks_built_once_per_repeat_through_the_row_fetch(self, small_ball, monkeypatch):
+        matrix, labels = small_ball
+        builds, fetched = [], []
+        build, row = evaluate.nystrom_factors, RowOracle.row
+
+        def counting_build(*args, **kwargs):
+            builds.append(1)
+            return build(*args, **kwargs)
+
+        def counting_row(self, i):
+            out = row(self, i)
+            fetched.append(len(out))
+            return out
+
+        monkeypatch.setattr(evaluate, "nystrom_factors", counting_build)
+        monkeypatch.setattr(RowOracle, "row", counting_row)
+        crossvalidate(matrix, labels, m=8, folds=4, repeats=3, seed=5)
+        assert len(builds) == 3
+        assert len(fetched) == 3 * 8
+        assert sum(fetched) == 3 * matrix.n * 8
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    @pytest.mark.parametrize(
+        "method, mode", [("corrected", "flip"), ("corrected", "clip"), ("lmds", "flip"),
+                         ("dspace", "flip")]
+    )
+    def test_accuracies_keep_the_bits_of_the_column_slicing_loop(
+        self, small_ball, method, mode, seed
+    ):
+        matrix, labels = small_ball
+        kwargs = dict(m=12, mode=mode, folds=4, repeats=2, seed=seed, method=method)
+        report = crossvalidate(matrix, labels, **kwargs)
+        assert np.array_equal(report.accuracies, reference_crossvalidate(matrix, labels, **kwargs))
 
     def test_lmds_needs_dissimilarities(self):
         rng = np.random.default_rng(9)

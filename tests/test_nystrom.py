@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -199,7 +201,7 @@ class TestEigPsd:
 
 class TestEigIndefinite:
     def test_grouped_blocked_qr_matches_one_piece_svd(self):
-        # tall: 2 full groups of 20 leaves of 20 m rows, then 3 leaves and a 7-row one
+        # tall: 43 leaves of 20 m rows and a 7-row one, so the full stack is reduced twice
         m = 4
         self._check_blocked_qr_matches_one_piece_svd(m, 2 * 20 * 20 * m + 3 * 20 * m + 7)
 
@@ -231,6 +233,28 @@ class TestEigIndefinite:
         assert np.allclose(model.cross_sv, want, rtol=1e-12, atol=0.0)
         vectors = model.vectors
         assert np.allclose(vectors.T @ vectors, np.eye(vectors.shape[1]), atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "m, n",
+        [
+            # 4 leaves of sqrt(N m) = 4 m rows
+            (50, 16 * 50),
+            # four leaves of 205 rows, then a 13-row one with a 13-row R
+            (50, 833),
+            # exactly 20 leaves, the 20th of them one row
+            (100, 36120),
+        ],
+    )
+    def test_at_most_twenty_leaves_reduce_the_stacked_leaf_rs_in_one_qr(self, m, n):
+        cross = np.asfortranarray(np.random.default_rng(32).standard_normal((n, m)))
+        h = min(20 * m, math.ceil(math.sqrt(n * m)))
+        assert -(-n // h) <= 20
+        leaf_rs = [np.linalg.qr(cross[i : i + h], mode="r") for i in range(0, n, h)]
+        r = np.linalg.qr(np.vstack(leaf_rs), mode="r")
+        _, want_sv, want_zt = np.linalg.svd(r, full_matrices=False)
+        sv, z = _cross_svd(cross)
+        assert np.array_equal(sv, want_sv)
+        assert np.array_equal(z, want_zt.T)
 
     @pytest.mark.parametrize("n, m", [(540, 300), (300, 300), (8 * 50 - 1, 50)])
     def test_blocks_below_eight_m_rows_keep_the_one_piece_bits(self, n, m):
