@@ -174,7 +174,10 @@ def fit_corrected_model_from_factors(factors: NystromFactors, mode: str) -> Corr
     The fit takes over ``factors.cross``: it becomes the model's ``cross``,
     and a dissimilarity block is centered where it lies, so the fit holds
     one N x m block.  The factors' core and core pseudo-inverse are never
-    written.
+    written.  Through the QR a dissimilarity fit holds two m x m arrays:
+    the raw core's pseudo-inverse, kept by the centering statistics, and the
+    centered core's.  The centered core goes once it is inverted, and the
+    raw core with the raw factors unless the caller holds them.
     """
     stats = None
     if factors.kind is Kind.SQUARED_DISSIMILARITY:
@@ -184,7 +187,10 @@ def fit_corrected_model_from_factors(factors: NystromFactors, mode: str) -> Corr
         )
         # drop the raw factors before the centered core is inverted; stats keeps their pinv
         del factors
-        factors = NystromFactors(Kind.SIMILARITY, landmarks, cross, core, pinv_sym(core))
+        core_pinv = pinv_sym(core)
+        # nystrom_eig_indefinite reads the centered core only through its pinv
+        del core
+        factors = NystromFactors(Kind.SIMILARITY, landmarks, cross, None, core_pinv)
     eig = nystrom_eig_indefinite(factors)
     return build_corrected_model(eig, factors.landmarks, mode, stats=stats)
 

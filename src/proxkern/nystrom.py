@@ -65,7 +65,7 @@ class NystromFactors:
     kind: Kind
     landmarks: np.ndarray  # m global indices
     cross: np.ndarray  # N x m; landmark-major (F-contiguous) from nystrom_factors
-    core: np.ndarray  # m x m, symmetric
+    core: np.ndarray | None  # m x m, symmetric; None where only its pinv is kept
     core_pinv: np.ndarray  # m x m
 
     @property
@@ -108,6 +108,10 @@ class CenteringStats:
     g: float  # grand sum of the approximation
     n: int  # number of fitted rows
     core_pinv: np.ndarray = field(repr=False)  # pinv of the dissimilarity core
+    pinv_s: np.ndarray = field(init=False, repr=False)  # core_pinv @ s, the row-sum map
+
+    def __post_init__(self):
+        self.pinv_s = self.core_pinv @ self.s
 
 
 def select_landmarks(n: int, m: int, seed: int | np.random.Generator = 0) -> np.ndarray:
@@ -208,36 +212,49 @@ def _cross_svd(cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Only the R factor of ``cross = Q R`` is formed, as in TSQR.  A block of
     at least ``8 m`` rows is cut into leaves of ``h = min(20 m, ceil(sqrt(N m)))``
-    rows.  Each leaf's R is written into one stack with room for 20 leaf Rs;
-    when the next one would not fit, the stack is reduced to its own R in
-    its first m rows and filling goes on below it.  One last QR of the stack
-    gives R, so with at most 20 leaves R is the QR of the stacked leaf Rs.
-    ``np.linalg.qr`` copies its input, so no copy here exceeds one leaf or
-    the stack, each about ``sqrt(N m)`` by m, where a one-piece QR would copy
-    the whole block.  Short leaves also keep the Householder updates in
-    cache, which makes a tall, narrow block several times faster to reduce.
-    A block of fewer than ``8 m`` rows, such as a cross-validation fold or
-    an m = N fit, is reduced in one piece.
+    rows.  Each leaf's R is written into one stack with room for
+    ``max(2, h // 2m)`` leaf Rs, at most 10 as h <= 20 m; when the next one
+    would not fit, the stack is reduced to its own R in its first m rows and
+    filling goes on below it.  One last QR of the stack gives R.
+    ``np.linalg.qr`` copies its input, so the QR holds one leaf copy and the
+    stack, at most half a leaf once h >= 4 m: about ``1.5 * 8 h m`` bytes, a
+    quarter and an eighth of the block at N = 16 m, where a one-piece QR
+    would copy the whole block.  Short leaves also keep the Householder
+    updates in cache, which makes a tall, narrow block several times faster
+    to reduce.  A block of fewer than ``8 m`` rows, such as a
+    cross-validation fold or an m = N fit, is reduced in one piece.
     """
     n, m = cross.shape
     if n >= 8 * m:
         h = min(20 * m, math.ceil(math.sqrt(n * m)))
-        # F-ordered like the block, so each QR's copy of the stack is a straight one
-        stack = np.empty((min(20, -(-n // h)) * m, m), order="F")
+        # F-ordered like the block, so each QR's copy of the stack is a straight one;
+        # as h^2 <= 2 n m, the slots never outnumber the ceil(n / h) >= 3 leaves
+        stack = np.empty((max(2, h // (2 * m)) * m, m), order="F")
         top = 0
         for i in range(0, n, h):
-            # a leaf's R has min(leaf rows, m) = min(n - i, m) rows, as h >= m; it is written
-            # straight into the stack, so no leaf R stays alive while the next QR copies its input
+            # a leaf's R has min(leaf rows, m) = min(n - i, m) rows, as h >= m
             k = min(n - i, m)
             if top + k > len(stack):
-                stack[:m] = np.linalg.qr(stack[:top], mode="r")
+                _write_r(stack[:m], stack[:top])
                 top = m
-            stack[top : top + k] = np.linalg.qr(cross[i : i + h], mode="r")
+            _write_r(stack[top : top + k], cross[i : i + h])
             top += k
         cross = stack[:top]
     r = np.linalg.qr(cross, mode="r")
     _, sv, zt = np.linalg.svd(r, full_matrices=False)
     return sv, zt.T
+
+
+def _write_r(out: np.ndarray, a: np.ndarray) -> None:
+    """Write the R factor of ``a``, ``min(rows, cols)`` rows, into ``out``.
+
+    The bits are those of ``np.linalg.qr(a, mode="r")``, which returns
+    ``triu`` of the top rows of its factored copy of ``a``.  Here those rows
+    go straight into ``out`` and its strictly lower triangle is zeroed
+    there, so no triangular temporary sits beside the factored copy.
+    """
+    out[...] = np.linalg.qr(a, mode="raw")[0].T[: len(out)]
+    np.copyto(out, 0.0, where=np.tri(*out.shape, k=-1, dtype=bool))
 
 
 def nystrom_double_center(
@@ -301,11 +318,12 @@ def center_dissimilarity_rows(
     if d_rows.ndim != 2 or d_rows.shape[1] != len(stats.s):
         raise ValueError(f"expected rows of width {len(stats.s)}, got shape {d_rows.shape}")
     n = stats.n
-    t = d_rows @ (stats.core_pinv @ stats.s)
+    t = d_rows @ stats.pinv_s
+    t /= n
     # the first step fills the result and the rest update it in place, so centering
     # allocates no N x m temporary, and no N x m block at all when out is d_rows
     out = np.subtract(d_rows, stats.s[None, :] / n, out=out)
-    out -= t[:, None] / n
+    out -= t[:, None]
     out += stats.g / n**2
     out *= -0.5
     return out

@@ -324,6 +324,25 @@ class TestFitAssembly:
             tracemalloc.stop()
         assert peak < budget, f"fit peaked at {peak / 1e6:.1f} MB, budget {budget / 1e6:.1f} MB"
 
+    def test_wide_fit_qr_holds_half_a_leaf_of_stacked_rs(self):
+        m = 300
+        n = 16 * m
+        x = np.random.default_rng(26).uniform(0.0, 1.0, (n, 3))
+        oracle = RowOracle(lambda i: ((x - x[i]) ** 2).sum(axis=1), n)
+        # at N = 16 m the leaves have h = 4 m rows: the QR holds the block, one leaf
+        # copy and a stack of 2 leaf Rs, half a leaf, beside the raw and centered core
+        # pinvs; one more m x m array and 1 MB cover the lazily imported modules of a
+        # first fit and the m-vectors.  A stack with room for all 4 leaf Rs exceeds it
+        leaf = 8 * 4 * m * m
+        budget = 8 * n * m + 1.5 * leaf + 3 * 8 * m * m + 1e6
+        tracemalloc.start()
+        try:
+            fit_corrected_model(oracle, kind=Kind.SQUARED_DISSIMILARITY, m=m, mode="flip", seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget, f"fit peaked at {peak / 1e6:.1f} MB, budget {budget / 1e6:.1f} MB"
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):

@@ -201,21 +201,21 @@ class TestEigPsd:
 
 class TestEigIndefinite:
     def test_grouped_blocked_qr_matches_one_piece_svd(self):
-        # tall: 43 leaves of 20 m rows and a 7-row one, so the full stack is reduced twice
+        # tall: 43 leaves of 20 m rows and a 7-row one, so the stack of 10 Rs is reduced 4 times
         m = 4
         self._check_blocked_qr_matches_one_piece_svd(m, 2 * 20 * 20 * m + 3 * 20 * m + 7)
 
     @pytest.mark.parametrize(
         "m, n",
         [
-            # wide: N = 16 m takes 4 leaves of sqrt(N m) = 4 m rows, all in one stack
+            # wide: N = 16 m takes 4 leaves of sqrt(N m) = 4 m rows into a stack of 2 Rs
             (200, 16 * 200),
             # leaves of ceil(sqrt(833 * 50)) = 205 rows: four, then a 13-row one with a 13-row R
             (50, 833),
             # 20 leaves of ceil(sqrt(36120 * 100)) = 1901 rows, the 20th of them one row
             (100, 36120),
-            # a second group whose 20th and last leaf has one row, leaving
-            # rows of the first group's 20th R in the stack
+            # a 40th and last leaf of one row, leaving rows of an earlier leaf's R
+            # in the stack below it
             (4, 3121),
         ],
     )
@@ -235,26 +235,44 @@ class TestEigIndefinite:
         assert np.allclose(vectors.T @ vectors, np.eye(vectors.shape[1]), atol=1e-10)
 
     @pytest.mark.parametrize(
-        "m, n",
+        "m, n, slots, reductions",
         [
-            # 4 leaves of sqrt(N m) = 4 m rows
-            (50, 16 * 50),
-            # four leaves of 205 rows, then a 13-row one with a 13-row R
-            (50, 833),
-            # exactly 20 leaves, the 20th of them one row
-            (100, 36120),
+            # N = 16 m: 4 leaves of sqrt(N m) = 4 m rows into a stack of 2 Rs, reduced
+            # before the 3rd and 4th leaves
+            (50, 16 * 50, 2, 2),
+            # four leaves of 205 rows and a 13-row one, with a stack reduction right
+            # before that short last leaf
+            (50, 833, 2, 3),
+            # tall: 40 leaves of 20 m rows, the 40th of them one row, into a stack of 10 Rs
+            (4, 3121, 10, 4),
+            # tall: 38 leaves, the stack of 10 Rs reduced right before the 3-row 38th
+            (4, 37 * 80 + 3, 10, 4),
         ],
     )
-    def test_at_most_twenty_leaves_reduce_the_stacked_leaf_rs_in_one_qr(self, m, n):
+    def test_leaf_rs_reduce_in_a_stack_of_at_most_half_a_leaf(self, m, n, slots, reductions):
         cross = np.asfortranarray(np.random.default_rng(32).standard_normal((n, m)))
-        h = min(20 * m, math.ceil(math.sqrt(n * m)))
-        assert -(-n // h) <= 20
-        leaf_rs = [np.linalg.qr(cross[i : i + h], mode="r") for i in range(0, n, h)]
-        r = np.linalg.qr(np.vstack(leaf_rs), mode="r")
+        r, got_slots, got_reductions = self._reference_tree_r(cross)
+        assert (got_slots, got_reductions) == (slots, reductions)
         _, want_sv, want_zt = np.linalg.svd(r, full_matrices=False)
         sv, z = _cross_svd(cross)
         assert np.array_equal(sv, want_sv)
         assert np.array_equal(z, want_zt.T)
+
+    @staticmethod
+    def _reference_tree_r(cross):
+        """R of the leaf tree from plain ``np.linalg.qr`` calls and a list of leaf Rs."""
+        n, m = cross.shape
+        h = min(20 * m, math.ceil(math.sqrt(n * m)))
+        slots = max(2, h // (2 * m))
+        assert -(-n // h) > slots
+        stacked, reductions = [], 0
+        for i in range(0, n, h):
+            leaf_r = np.linalg.qr(cross[i : i + h], mode="r")
+            if sum(map(len, stacked)) + len(leaf_r) > slots * m:
+                stacked = [np.linalg.qr(np.vstack(stacked), mode="r")]
+                reductions += 1
+            stacked.append(leaf_r)
+        return np.linalg.qr(np.vstack(stacked), mode="r"), slots, reductions
 
     @pytest.mark.parametrize("n, m", [(540, 300), (300, 300), (8 * 50 - 1, 50)])
     def test_blocks_below_eight_m_rows_keep_the_one_piece_bits(self, n, m):

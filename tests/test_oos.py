@@ -11,9 +11,11 @@ from proxkern import (
     extend_similarities,
     fit_corrected_model,
     fit_corrected_model_from_factors,
+    load_model,
     nystrom_double_center,
     nystrom_factors,
     pinv_sym,
+    save_model,
 )
 
 from conftest import random_indefinite_dissimilarity, random_symmetric
@@ -106,6 +108,25 @@ class TestExtendDissimilarities:
         model.stats = stats
         out = extend_dissimilarities(model, np.zeros((1, 3)))
         assert np.array_equal(out, np.zeros((1, 5)))
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_rows_keep_the_bits_of_the_explicit_row_sum_map(self, tmp_path, loaded):
+        # the stats compute core_pinv @ s once; every extension must give the bits of
+        # the expression that forms it per call
+        d = random_indefinite_dissimilarity(40, np.random.default_rng(11))
+        model = fit_corrected_model(d, m=9, mode="flip", seed=2)
+        if loaded:
+            save_model(model, tmp_path / "model.pcm")
+            model = load_model(tmp_path / "model.pcm")
+        queries = d.values[3:11][:, model.landmarks]
+        st = model.stats
+        centered = queries - st.s[None, :] / st.n
+        centered -= (queries @ (st.core_pinv @ st.s))[:, None] / st.n
+        centered += st.g / st.n**2
+        centered *= -0.5
+        want = (centered @ model.w_star) @ model.cross.T
+        assert np.array_equal(extend_dissimilarities(model, queries), want)
+        assert np.array_equal(extend_features(model, queries), centered @ model.r)
 
     def test_requires_stats(self):
         rng = np.random.default_rng(8)
