@@ -20,7 +20,7 @@ Every cut of a small eigenvalue or singular value is relative, at
 ``save_model`` and ``load_model`` store a model as a PCM2 file through the
 container reader and writer of ``dataio``, which every binary format of
 the package shares.  PCM2 stores the cross block as it lies after a fit,
-landmark-major, so a save copies nothing; ``load_model`` still reads PCM1.
+landmark-major, so a save copies nothing.
 """
 
 from __future__ import annotations
@@ -50,6 +50,12 @@ MODES = ("clip", "flip", "shift", "none")
 ILL_CONDITION_LIMIT = 1e12
 
 
+def check_mode(mode: str) -> None:
+    """Raise ``ValueError`` unless ``mode`` is one of ``MODES``."""
+    if mode not in MODES:
+        raise ValueError(f"unknown correction mode {mode!r}; expected one of {MODES}")
+
+
 def correct_eigenvalues(values: np.ndarray, mode: str) -> np.ndarray:
     """Apply an eigenvalue correction.
 
@@ -57,18 +63,16 @@ def correct_eigenvalues(values: np.ndarray, mode: str) -> np.ndarray:
     ``|min|`` to every eigenvalue when the minimum is negative, and none is
     the identity.
     """
+    check_mode(mode)
     values = np.asarray(values, dtype=np.float64)
     if mode == "flip":
         return np.abs(values)
     if mode == "clip":
         return np.clip(values, 0.0, None)
-    if mode == "shift":
-        if values.size and values.min() < 0:
-            return values + abs(values.min())
-        return values.copy()
-    if mode == "none":
-        return values.copy()
-    raise ValueError(f"unknown correction mode {mode!r}; expected one of {MODES}")
+    if mode == "shift" and values.size and values.min() < 0:
+        return values + abs(values.min())
+    # none, and shift over a spectrum with no negative eigenvalue
+    return values.copy()
 
 
 @dataclass
@@ -154,8 +158,7 @@ def fit_corrected_model(
     factors are then corrected by ``fit_corrected_model_from_factors``, the
     one sequence of fit stages.  Total cost O(N m^2 + m^3).
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown correction mode {mode!r}; expected one of {MODES}")
+    check_mode(mode)
     if landmarks is None:
         if m is None:
             raise ValueError("pass either m or an explicit landmark list")
@@ -177,8 +180,10 @@ def fit_corrected_model_from_factors(factors: NystromFactors, mode: str) -> Corr
     written.  Through the QR a dissimilarity fit holds two m x m arrays:
     the raw core's pseudo-inverse, kept by the centering statistics, and the
     centered core's.  The centered core goes once it is inverted, and the
-    raw core with the raw factors unless the caller holds them.
+    raw core with the raw factors unless the caller holds them.  A bad
+    ``mode`` raises before the block is touched.
     """
+    check_mode(mode)
     stats = None
     if factors.kind is Kind.SQUARED_DISSIMILARITY:
         landmarks = factors.landmarks
@@ -204,12 +209,10 @@ def fit_corrected_model_from_factors(factors: NystromFactors, mode: str) -> Corr
 # m x N landmark-major rows, cross.T, which is how a fit holds the block),
 # w_star (m*m f64), feature factor (m*k f64 if present) and, if stats are
 # present, u64 stats_n, f64 g, s (m f64) and the dissimilarity core pinv
-# (m*m f64).  All values little-endian.  "PCM1" is the same layout with the
-# cross block stored row-major (n*m f64); it is read, never written.
+# (m*m f64).  All values little-endian.
 # ---------------------------------------------------------------------------
 
 _PCM_MAGIC = b"PCM2"
-_PCM1_MAGIC = b"PCM1"
 _PCM_HEADER = struct.Struct("<4sBBQQQ")
 
 
@@ -241,17 +244,13 @@ def save_model(model: CorrectedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> CorrectedModel:
-    """Read a PCM2 or PCM1 model, raising ``DataError`` on any malformed file."""
-    with read_container(path, _PCM_HEADER, _PCM_MAGIC, _PCM1_MAGIC) as (header, take):
-        magic, flags, mode_idx, n, m, k = header
+    """Read a PCM2 model, raising ``DataError`` on any malformed file."""
+    with read_container(path, _PCM_HEADER, _PCM_MAGIC) as (header, take):
+        _, flags, mode_idx, n, m, k = header
         if mode_idx >= len(MODES):
             raise DataError(f"{path}: unknown mode byte {mode_idx}")
         landmarks = checked_landmarks(path, take(m, "<u8"), n)
-        cross = take(n * m, "<f8")
-        if magic == _PCM_MAGIC:
-            cross = cross.reshape(m, n).T
-        else:  # one transposing copy, so the model saves as PCM2 with none
-            cross = np.ascontiguousarray(cross.reshape(n, m).T).T
+        cross = take(n * m, "<f8").reshape(m, n).T
         w_star = take(m * m, "<f8").reshape(m, m)
         r = take(m * k, "<f8").reshape(m, k) if flags & 2 else None
         stats = None

@@ -142,22 +142,21 @@ def write_container(path: str | Path, header: struct.Struct, fields: tuple, arra
 
 
 @contextmanager
-def read_container(path: str | Path, header: struct.Struct, *magics: bytes):
+def read_container(path: str | Path, header: struct.Struct, magic: bytes):
     """Open a container and yield its header fields, magic first, and ``take``.
 
-    The file's magic must be one of ``magics``; a format that still reads
-    an older version lists both.  ``take(count, dtype)`` reads the next
-    ``count`` items in place.  It checks their size against the file length
-    before it allocates, so a corrupt header cannot ask for a huge array.
-    Bytes left over when the block ends are an error.  Every failure raises
-    ``DataError``.
+    The file must start with ``magic``, which names the format and its
+    version; each format reads one version.  ``take(count, dtype)`` reads
+    the next ``count`` items in place.  It checks their size against the
+    file length before it allocates, so a corrupt header cannot ask for a
+    huge array.  Bytes left over when the block ends are an error.  Every
+    failure raises ``DataError``.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         raw = fh.read(header.size)
-        if raw[:4] not in magics:
-            expected = " or ".join(map(repr, magics))
-            raise DataError(f"{path}: bad magic {raw[:4]!r}, expected {expected}")
+        if raw[:4] != magic:
+            raise DataError(f"{path}: bad magic {raw[:4]!r}, expected {magic!r}")
         if len(raw) < header.size:
             raise DataError(f"{path}: truncated {raw[:4].decode()} header")
         off = header.size

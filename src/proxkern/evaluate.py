@@ -11,6 +11,7 @@ import numpy as np
 from .baselines import lmds_fit, lmds_project
 from .corrections import (
     CorrectedModel,
+    check_mode,
     correct_eigenvalues,
     fit_corrected_model,
     fit_corrected_model_from_factors,
@@ -140,7 +141,7 @@ def fit_ridge_classifier(
     gram = features.T @ features
     if lam is None:
         lam = RIDGE_LAMBDA_SCALE * np.trace(gram) / k
-    if lam <= 0:
+    if not lam > 0:  # NaN included, which would solve to NaN weights
         raise ValueError("lam must be positive")
     n_classes = int(labels.max()) + 1
     targets = -np.ones((len(labels), n_classes))
@@ -206,7 +207,9 @@ def crossvalidate(
 
     ``method`` selects the pipeline: "corrected" (landmark correction with
     the given mode), "lmds" (landmark MDS triangulation) or "dspace" (raw
-    dissimilarities to the landmarks as features).
+    dissimilarities to the landmarks as features).  A bad argument, the
+    corrected method's ``mode`` and ``lam`` included, raises before any row
+    is fetched.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = matrix.n
@@ -218,6 +221,10 @@ def crossvalidate(
         raise ValueError(f"method {method!r} needs squared dissimilarities")
     if method not in ("corrected", "lmds", "dspace"):
         raise ValueError(f"unknown method {method!r}")
+    if method == "corrected":
+        check_mode(mode)
+    if lam is not None and not lam > 0:
+        raise ValueError("lam must be positive")
     root = np.random.SeedSequence(seed)
     accuracies = []
     for repeat_seq in root.spawn(repeats):

@@ -33,20 +33,16 @@ from .eigencore import DEFAULT_PINV_TOL, Signature, pinv_sym, signature_of, sym_
 class RowOracle:
     """Row access to a symmetric matrix that may never be materialized.
 
-    Wraps either a dense array or a callable ``row(i) -> ndarray`` of length
-    ``n``.  Every fetched entry is counted, so callers can assert linear
-    access patterns.  A non-finite entry in a fetched row raises ``DataError``.
+    Wraps a callable ``row(i) -> ndarray`` of length ``n``; ``as_row_oracle``
+    wraps a dense matrix this way.  Every fetched entry is counted, so
+    callers can assert linear access patterns.  A non-finite entry in a
+    fetched row raises ``DataError``.
     """
 
     def __init__(self, row_fn: Callable[[int], np.ndarray], n: int):
         self._row_fn = row_fn
         self.n = n
         self.entries_touched = 0
-
-    @classmethod
-    def from_matrix(cls, values: np.ndarray) -> "RowOracle":
-        values = np.asarray(values, dtype=np.float64)
-        return cls(lambda i: values[i], values.shape[0])
 
     def row(self, i: int) -> np.ndarray:
         r = np.asarray(self._row_fn(int(i)), dtype=np.float64)
@@ -67,10 +63,6 @@ class NystromFactors:
     cross: np.ndarray  # N x m; landmark-major (F-contiguous) from nystrom_factors
     core: np.ndarray | None  # m x m, symmetric; None where only its pinv is kept
     core_pinv: np.ndarray  # m x m
-
-    @property
-    def n(self) -> int:
-        return self.cross.shape[0]
 
     @property
     def m(self) -> int:
@@ -122,11 +114,13 @@ def select_landmarks(n: int, m: int, seed: int | np.random.Generator = 0) -> np.
 
 
 def as_row_oracle(source: ProximityMatrix | np.ndarray | RowOracle) -> RowOracle:
+    """Wrap ``source`` as a counted row oracle; an oracle is returned as is."""
     if isinstance(source, RowOracle):
         return source
     if isinstance(source, ProximityMatrix):
-        return RowOracle.from_matrix(source.values)
-    return RowOracle.from_matrix(np.asarray(source, dtype=np.float64))
+        source = source.values
+    values = np.asarray(source, dtype=np.float64)
+    return RowOracle(lambda i: values[i], values.shape[0])
 
 
 def nystrom_factors(

@@ -1,17 +1,13 @@
 """Binary containers: golden-file byte identity and corrupt-file rejection.
 
-The files under ``tests/data`` were written from the hand-built arrays below
-by the format writers as they stood before PMX, PMB and PCM shared one
-container reader and writer.  Rewriting them must give the same bytes, and
-reading them must give back the same arrays.  The arrays come from
-``np.arange`` and exact divisions, never from a fit, so no BLAS routine can
-change a byte.
-
-The PCM files are PCM2: each is the PCM1 file of the same name under
-``tests/data/pcm1`` with magic ``PCM2`` and the cross block's bytes in
-landmark-major order.  The PCM1 files are read, never written: loading one
-must give the hand-built model, and saving that model again must give the
-PCM2 file.
+Each file under ``tests/data`` is the golden file of one case in ``CASES``,
+written from the hand-built arrays below by the format writers as they stood
+before PMX, PMB and PCM shared one container reader and writer; the PCM
+files are PCM2, with the cross block's bytes in landmark-major order.
+Rewriting them must give the same bytes, and reading them must give back
+the same arrays.  The arrays come from ``np.arange`` and exact divisions,
+never from a fit, so no BLAS routine can change a byte.  Each format reads
+one version: a file with any other magic, older ones included, is rejected.
 """
 
 import os
@@ -88,8 +84,6 @@ CASES = {
 for _mode in MODES:
     CASES[f"{_mode}.pcm"] = (model(_mode, False), save_model, load_model)
     CASES[f"{_mode}-stats.pcm"] = (model(_mode, True), save_model, load_model)
-# PCM1 golden file name -> (the PCM2 golden file of the same model, the model)
-PCM1_CASES = {f"pcm1/{name}": (name, CASES[name][0]) for name in CASES if name.endswith(".pcm")}
 
 
 def assert_same(got, want):
@@ -106,6 +100,11 @@ def assert_same(got, want):
         assert np.array_equal(got, want)
     else:
         assert got == want
+
+
+def test_every_golden_file_has_a_case():
+    files = {str(path.relative_to(DATA)) for path in DATA.rglob("*") if path.is_file()}
+    assert files == set(CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -141,18 +140,6 @@ def test_writing_to_a_device_leaves_it_uncut():
     write(obj, os.devnull)
 
 
-@pytest.mark.parametrize("name", sorted(PCM1_CASES))
-def test_pcm1_files_load_and_save_as_pcm2(name, tmp_path):
-    pcm2_name, obj = PCM1_CASES[name]
-    loaded = load_model(DATA / name)
-    assert_same(loaded, obj)
-    assert loaded.cross.T.flags.c_contiguous  # held as a fit holds it, so a save copies nothing
-    path = tmp_path / pcm2_name
-    save_model(loaded, path)
-    assert path.read_bytes() == (DATA / pcm2_name).read_bytes()
-    assert_same(load_model(path), loaded)
-
-
 # the kind byte follows the 4-byte magic
 KIND_OFFSET = 4
 # a PCM has a flag byte where the others have a kind byte, and its mode byte after it;
@@ -163,20 +150,18 @@ PCM_LANDMARKS = 30
 PCM_STATS_N = PCM_LANDMARKS + 2 * 8 + 5 * 2 * 8 + 2 * 2 * 8 + 2 * 1 * 8
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["dissimilarity.pmx", "block.pmb", "flip-stats.pcm", "pcm1/flip-stats.pcm"],
-)
+@pytest.mark.parametrize("name", ["dissimilarity.pmx", "block.pmb", "flip-stats.pcm"])
 def test_corrupt_files_raise_data_error(name, tmp_path):
-    read = load_model if name.endswith(".pcm") else CASES[name][2]
+    read = CASES[name][2]
     raw = (DATA / name).read_bytes()
     bad = [raw[:cut] for cut in range(len(raw))] + [raw + b"\0"]
     tag = bytearray(raw)
     tag[PCM_MODE_OFFSET if name.endswith(".pcm") else KIND_OFFSET] = 7
     bad.append(bytes(tag))
     if name.endswith(".pcm"):
-        bad.append(b"PCM3" + raw[4:])  # a version this reader does not know
-        # PCM1 and PCM2 blocks have the same byte count, so the offset holds for both
+        # a version this reader does not know, and the retired row-major PCM1, whose
+        # block has PCM2's byte count, so only the magic tells the two apart
+        bad += [b"PCM3" + raw[4:], b"PCM1" + raw[4:]]
         assert raw[PCM_STATS_N : PCM_STATS_N + 8] == (5).to_bytes(8, "little")
         for count in (0, 6):  # a centering count that is not the header's n
             corrupt = bytearray(raw)
@@ -187,7 +172,7 @@ def test_corrupt_files_raise_data_error(name, tmp_path):
             corrupt = bytearray(raw)
             corrupt[PCM_LANDMARKS : PCM_LANDMARKS + 8] = landmark
             bad.append(bytes(corrupt))
-    path = tmp_path / Path(name).name
+    path = tmp_path / name
     for blob in bad:
         path.write_bytes(blob)
         with pytest.raises(DataError):

@@ -194,10 +194,18 @@ class TestFitPipeline:
         assert np.allclose(model_a.cross, model_b.cross)
 
     def test_unknown_mode_fails_before_any_fetch(self):
-        oracle = RowOracle.from_matrix(random_symmetric(20, np.random.default_rng(16)))
+        oracle = as_row_oracle(random_symmetric(20, np.random.default_rng(16)))
         with pytest.raises(ValueError, match="mode"):
             fit_corrected_model(oracle, m=5, mode="bogus")
         assert oracle.entries_touched == 0
+
+    def test_unknown_mode_leaves_the_factors_unwritten(self):
+        d = random_squared_dissimilarity(16, np.random.default_rng(17))
+        factors = nystrom_factors(d, np.array([1, 5, 9, 13]))
+        cross = factors.cross.copy()
+        with pytest.raises(ValueError, match="mode"):
+            fit_corrected_model_from_factors(factors, "bogus")
+        assert np.array_equal(factors.cross, cross)
 
 
 def reference_factors(source, landmarks):

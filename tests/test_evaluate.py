@@ -192,6 +192,12 @@ class TestRidgeClassifier:
         weights = fit_ridge_classifier(features, labels, lam=1e-6)
         assert (predict_classes(features, weights) == labels).mean() == 1.0
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan")])
+    def test_non_positive_lambda_raises(self, lam):
+        features = np.random.default_rng(7).standard_normal((10, 3))
+        with pytest.raises(ValueError, match="lam must be positive"):
+            fit_ridge_classifier(features, np.arange(10) % 2, lam=lam)
+
     def test_single_class_constant_predictor(self):
         rng = np.random.default_rng(6)
         features = rng.standard_normal((10, 3))
@@ -351,6 +357,25 @@ class TestCrossvalidate:
         matrix, labels = small_ball
         with pytest.raises(ValueError, match="at least one repeat"):
             crossvalidate(matrix, labels, m=8, folds=4, repeats=0)
+
+    @pytest.mark.parametrize(
+        "bad", [dict(mode="bogus"), dict(lam=-1.0), dict(lam=0.0), dict(lam=float("nan"))]
+    )
+    def test_bad_mode_or_lam_fails_before_any_fetch(self, small_ball, monkeypatch, bad):
+        matrix, labels = small_ball
+
+        def no_build(*args, **kwargs):
+            pytest.fail("crossvalidate built landmark factors for a call it rejects")
+
+        monkeypatch.setattr(evaluate, "nystrom_factors", no_build)
+        with pytest.raises(ValueError, match="mode" if "mode" in bad else "lam"):
+            crossvalidate(matrix, labels, m=8, folds=4, repeats=1, **bad)
+
+    def test_baselines_ignore_the_mode(self, small_ball):
+        matrix, labels = small_ball
+        kwargs = dict(m=8, folds=4, repeats=1, seed=5, method="lmds")
+        report = crossvalidate(matrix, labels, mode="bogus", **kwargs)
+        assert np.array_equal(report.accuracies, crossvalidate(matrix, labels, **kwargs).accuracies)
 
     def test_uncorrected_indefinite_rejected(self, small_ball):
         matrix, labels = small_ball

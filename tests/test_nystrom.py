@@ -10,6 +10,7 @@ from proxkern import (
     NystromFactors,
     ProximityMatrix,
     RowOracle,
+    as_row_oracle,
     center_dissimilarity_rows,
     double_center,
     nystrom_double_center,
@@ -101,7 +102,7 @@ class TestFactors:
     def test_row_oracle_touches_linear_entries(self):
         rng = np.random.default_rng(4)
         m = random_symmetric(50, rng)
-        oracle = RowOracle.from_matrix(m)
+        oracle = as_row_oracle(m)
         nystrom_factors(oracle, np.arange(10), kind=Kind.SIMILARITY)
         assert oracle.entries_touched == 10 * 50
 
@@ -119,7 +120,7 @@ class TestFactors:
         assert fetched == [1, 4, 6]
 
     def test_bad_landmarks_fail_before_any_fetch(self):
-        oracle = RowOracle.from_matrix(random_symmetric(12, np.random.default_rng(7)))
+        oracle = as_row_oracle(random_symmetric(12, np.random.default_rng(7)))
         for landmarks in ([], [3, 12], [-1, 2], [4, 4]):
             with pytest.raises(ValueError, match="landmark"):
                 nystrom_factors(oracle, np.array(landmarks, dtype=np.int64))
@@ -526,7 +527,7 @@ class TestLinearCost:
         touches = []
         for n in (40, 80, 160):
             m = random_symmetric(n, rng)
-            oracle = RowOracle.from_matrix(m)
+            oracle = as_row_oracle(m)
             nystrom_factors(oracle, np.arange(8), kind=Kind.SIMILARITY)
             touches.append(oracle.entries_touched)
         assert touches == [8 * 40, 8 * 80, 8 * 160]
