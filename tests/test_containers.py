@@ -147,14 +147,28 @@ KIND_OFFSET = 4
 # centering count after them, a 5 x 2 cross block, a 2 x 2 w_star and a 2 x 1 feature factor
 PCM_MODE_OFFSET = 5
 PCM_LANDMARKS = 30
-PCM_STATS_N = PCM_LANDMARKS + 2 * 8 + 5 * 2 * 8 + 2 * 2 * 8 + 2 * 1 * 8
+PCM_CROSS = PCM_LANDMARKS + 2 * 8
+PCM_STATS_N = PCM_CROSS + 5 * 2 * 8 + 2 * 2 * 8 + 2 * 1 * 8
 
 
-@pytest.mark.parametrize("name", ["dissimilarity.pmx", "block.pmb", "flip-stats.pcm"])
+def pcm1_bytes(pcm2: bytes) -> bytes:
+    """The retired PCM1 file of flip-stats.pcm's model: magic PCM1, cross block row-major."""
+    cross = np.frombuffer(pcm2, "<f8", 2 * 5, PCM_CROSS).reshape(2, 5)
+    return b"PCM1" + pcm2[4:PCM_CROSS] + cross.T.tobytes() + pcm2[PCM_CROSS + 5 * 2 * 8 :]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["dissimilarity.pmx", "block.pmb", "flip-stats.pcm", "pcm1/flip-stats.pcm"],
+)
 def test_corrupt_files_raise_data_error(name, tmp_path):
-    read = CASES[name][2]
-    raw = (DATA / name).read_bytes()
-    bad = [raw[:cut] for cut in range(len(raw))] + [raw + b"\0"]
+    golden = Path(name).name
+    read = CASES[golden][2]
+    raw = (DATA / golden).read_bytes()
+    whole = name.startswith("pcm1/")  # a PCM1 file is no longer read, even whole
+    if whole:
+        raw = pcm1_bytes(raw)
+    bad = [raw[:cut] for cut in range(len(raw) + whole)] + [raw + b"\0"]
     tag = bytearray(raw)
     tag[PCM_MODE_OFFSET if name.endswith(".pcm") else KIND_OFFSET] = 7
     bad.append(bytes(tag))
@@ -172,7 +186,7 @@ def test_corrupt_files_raise_data_error(name, tmp_path):
             corrupt = bytearray(raw)
             corrupt[PCM_LANDMARKS : PCM_LANDMARKS + 8] = landmark
             bad.append(bytes(corrupt))
-    path = tmp_path / name
+    path = tmp_path / golden
     for blob in bad:
         path.write_bytes(blob)
         with pytest.raises(DataError):
