@@ -4,41 +4,46 @@ A corrected model evaluates
 
     S_star[i, j] = cross[i] @ w_star @ cross[j]^T
 
-where ``w_star`` re-expresses the corrected spectrum ``A*`` over the raw
+where ``w_star`` re-expresses the corrected spectrum ``A*`` over the
 landmark proximities, so new objects only need their proximities to the
-landmarks.  For clip and flip the corrected matrix is positive
-semi-definite and ``w_star = R R^T`` provides an explicit feature map
-``F = cross @ R`` with ``F F^T = S_star``.
+landmarks.  For similarities ``cross`` holds them raw; for squared
+dissimilarities it holds them column-centered, ``d - s / N``, and the
+double centering's row terms and factor -0.5 live in ``w_star``.  For
+clip and flip the corrected matrix is positive semi-definite and
+``w_star = R R^T`` provides an explicit feature map ``F = cross @ R`` with
+``F F^T = S_star``.
 
 There is one fit path: ``fit_corrected_model`` draws the landmarks and
 builds the factors, and ``fit_corrected_model_from_factors`` runs the
 stages that follow (centering, eigendecomposition, model build).  The
 library, the CLI, cross-validation and the scaling benchmark all call it.
 Every cut of a small eigenvalue or singular value is relative, at
-``DEFAULT_PINV_TOL``.
+``DEFAULT_PINV_TOL``, and the landmark core is inverted once per fit, by
+``nystrom_factors``.
 
-``save_model`` and ``load_model`` store a model as a PCM2 file through the
+``save_model`` and ``load_model`` store a model as a PCM3 file through the
 container reader and writer of ``dataio``, which every binary format of
-the package shares.  PCM2 stores the cross block as it lies after a fit,
+the package shares.  PCM3 stores the cross block as it lies after a fit,
 landmark-major, so a save copies nothing.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .dataio import DataError, Kind, checked_landmarks, read_container, write_container
-from .eigencore import DEFAULT_PINV_TOL, pinv_sym
+from .eigencore import DEFAULT_PINV_TOL
 from .nystrom import (
     CenteringStats,
     EigenModel,
     NystromFactors,
     as_row_oracle,
-    nystrom_double_center,
+    center_dissimilarity_rows,
+    centering_stats,
     nystrom_eig_indefinite,
     nystrom_factors,
     select_landmarks,
@@ -80,7 +85,7 @@ class CorrectedModel:
     """Corrected kernel over landmark proximities, ready for block evaluation."""
 
     landmarks: np.ndarray
-    cross: np.ndarray  # uncorrected N x m similarity block of the fitted rows
+    cross: np.ndarray  # N x m landmark proximities of the fitted rows, centered if dissimilar
     w_star: np.ndarray  # m x m corrected core inverse
     mode: str
     r: np.ndarray | None  # m x k factor with r @ r.T = w_star, None if indefinite
@@ -169,55 +174,54 @@ def fit_corrected_model(
 def fit_corrected_model_from_factors(factors: NystromFactors, mode: str) -> CorrectedModel:
     """Correct landmark factors: centering, eigendecomposition, model build.
 
-    Squared dissimilarities are double centered first, with the factors'
-    own core pseudo-inverse, and only the centered core is inverted anew;
-    the centering statistics travel with the model so new dissimilarity
-    rows can be extended later.  Similarities are corrected directly.
+    Squared dissimilarities are double centered through the raw core: the
+    cross block C becomes ``E = C - 1 s^T / N`` with its exact column sums
+    s, and the double centered approximation ``E (-0.5 core_pinv) E^T`` is
+    diagonalized with the factors' own core pseudo-inverse, so no core is
+    inverted a second time.  The centering statistics travel with the model
+    so new dissimilarity rows can be extended later.  Similarities are
+    corrected directly.
 
     The fit takes over ``factors.cross``: it becomes the model's ``cross``,
     and a dissimilarity block is centered where it lies, so the fit holds
     one N x m block.  The factors' core and core pseudo-inverse are never
-    written.  Through the QR a dissimilarity fit holds two m x m arrays:
-    the raw core's pseudo-inverse, kept by the centering statistics, and the
-    centered core's.  The centered core goes once it is inverted, and the
-    raw core with the raw factors unless the caller holds them.  A bad
-    ``mode`` raises before the block is touched.
+    written.  Through the QR a dissimilarity fit holds one m x m array, the
+    raw core's pseudo-inverse, kept by the centering statistics; the raw
+    core goes before the QR, with the raw factors unless the caller holds
+    them.  A bad ``mode`` raises before the block is touched.
     """
     check_mode(mode)
     stats = None
+    scale = 1.0
     if factors.kind is Kind.SQUARED_DISSIMILARITY:
-        landmarks = factors.landmarks
-        core, cross, stats = nystrom_double_center(
-            factors.cross, factors.core, core_pinv=factors.core_pinv, out=factors.cross
-        )
-        # drop the raw factors before the centered core is inverted; stats keeps their pinv
-        del factors
-        core_pinv = pinv_sym(core)
-        # nystrom_eig_indefinite reads the centered core only through its pinv
-        del core
-        factors = NystromFactors(Kind.SIMILARITY, landmarks, cross, None, core_pinv)
-    eig = nystrom_eig_indefinite(factors)
+        stats = centering_stats(factors.cross, factors.core_pinv)
+        center_dissimilarity_rows(factors.cross, stats, out=factors.cross)
+        # nystrom_eig_indefinite reads the core only through its pinv
+        factors = replace(factors, core=None)
+        scale = -0.5
+    eig = nystrom_eig_indefinite(factors, scale)
     return build_corrected_model(eig, factors.landmarks, mode, stats=stats)
 
 
 # ---------------------------------------------------------------------------
-# serialization: "PCM2" container
+# serialization: "PCM3" container
 #
-# magic "PCM2", flag byte (bit 0: stats present, bit 1: feature factor
+# magic "PCM3", flag byte (bit 0: stats present, bit 1: feature factor
 # present, bit 2: ill-conditioned), mode byte (index into MODES), then
 # u64 n, m, k, followed by the landmark indices (u64), cross (m*n f64: the
 # m x N landmark-major rows, cross.T, which is how a fit holds the block),
 # w_star (m*m f64), feature factor (m*k f64 if present) and, if stats are
 # present, u64 stats_n, f64 g, s (m f64) and the dissimilarity core pinv
-# (m*m f64).  All values little-endian.
+# (m*m f64).  All values little-endian.  PCM2 had this layout, but its
+# dissimilarity models were centered another way, so it is not read.
 # ---------------------------------------------------------------------------
 
-_PCM_MAGIC = b"PCM2"
+_PCM_MAGIC = b"PCM3"
 _PCM_HEADER = struct.Struct("<4sBBQQQ")
 
 
 def save_model(model: CorrectedModel, path: str | Path) -> None:
-    """Serialize a corrected model to the versioned PCM2 container.
+    """Serialize a corrected model to the versioned PCM3 container.
 
     The cross block of a model fitted by ``fit_corrected_model`` or read by
     ``load_model`` is written as it lies.  Any other layout, such as the
@@ -244,7 +248,12 @@ def save_model(model: CorrectedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> CorrectedModel:
-    """Read a PCM2 model, raising ``DataError`` on any malformed file."""
+    """Read a PCM3 model, raising ``DataError`` on any malformed file.
+
+    A non-finite value in ``w_star``, the feature factor or the centering
+    statistics is an error.  The N x m cross block is not scanned: that
+    would be a second pass over the largest array on every load.
+    """
     with read_container(path, _PCM_HEADER, _PCM_MAGIC) as (header, take):
         _, flags, mode_idx, n, m, k = header
         if mode_idx >= len(MODES):
@@ -253,15 +262,20 @@ def load_model(path: str | Path) -> CorrectedModel:
         cross = take(n * m, "<f8").reshape(m, n).T
         w_star = take(m * m, "<f8").reshape(m, m)
         r = take(m * k, "<f8").reshape(m, k) if flags & 2 else None
+        small = {"w_star": w_star, "r": r}
         stats = None
         if flags & 1:
             stats_n = int(take(1, "<u8")[0])
             if stats_n != n:
                 raise DataError(f"{path}: centering count {stats_n} differs from n={n}")
-            g = float(take(1, "<f8")[0])
+            g = take(1, "<f8")
             s = take(m, "<f8")
             core_pinv = take(m * m, "<f8").reshape(m, m)
-            stats = CenteringStats(s=s, g=g, n=stats_n, core_pinv=core_pinv)
+            small.update(g=g, s=s, core_pinv=core_pinv)
+            stats = CenteringStats(s=s, g=float(g[0]), n=stats_n, core_pinv=core_pinv)
+    bad = [name for name, a in small.items() if a is not None and not np.isfinite(a).all()]
+    if bad:
+        raise DataError(f"{path}: non-finite values in {', '.join(bad)}")
     return CorrectedModel(
         landmarks=landmarks,
         cross=cross,

@@ -13,9 +13,15 @@ full matrix, which is what makes the pipelines linear in N:
 * ``nystrom_eig_indefinite`` (and ``nystrom_eig_psd`` for psd cores)
   computes the eigendecomposition of ``K_hat`` in O(N m^2 + m^3) from one
   row-blocked QR of the cross block and an m x m eigenproblem.
-* ``nystrom_double_center`` converts the approximation of squared
-  dissimilarities into centered similarities in O(N m + m^3), returning the centering
-  statistics needed later for out-of-sample queries.
+* ``center_dissimilarity_rows`` double centers the approximation of squared
+  dissimilarities through its raw core.  With the exact column sums ``s`` of
+  the cross block ``C`` and ``E = C - 1 s^T / N``, the double centered
+  approximation is ``-0.5 J C pinv(W) C^T J = E (-0.5 pinv(W)) E^T``: one
+  subtraction per entry, and no second core to invert.  A fit and its
+  out-of-sample rows go through the same routine.
+* ``nystrom_double_center`` gives the centered landmark blocks of that
+  approximation explicitly, in O(N m + m^3), with its row-sum and grand-sum
+  terms.
 """
 
 from __future__ import annotations
@@ -71,7 +77,7 @@ class NystromFactors:
 
 @dataclass
 class EigenModel:
-    """Eigendecomposition of an approximation ``cross @ core_pinv @ cross.T``.
+    """Eigendecomposition of an approximation ``cross @ (scale * core_pinv) @ cross.T``.
 
     ``values`` are the k retained eigenvalues (descending) and ``row_map``
     is the m x k map from landmark proximities to eigenvector coordinates:
@@ -94,16 +100,22 @@ class EigenModel:
 
 @dataclass
 class CenteringStats:
-    """Training-set statistics that fix the centering of new dissimilarity rows."""
+    """Training-set statistics that fix the centering of new dissimilarity rows.
+
+    Rows are centered with ``s`` and ``n`` alone; ``g`` and ``core_pinv``
+    describe the approximation that the centered rows enter.
+    """
 
     s: np.ndarray  # per-landmark column sums over the fitted rows
     g: float  # grand sum of the approximation
     n: int  # number of fitted rows
     core_pinv: np.ndarray = field(repr=False)  # pinv of the dissimilarity core
-    pinv_s: np.ndarray = field(init=False, repr=False)  # core_pinv @ s, the row-sum map
 
-    def __post_init__(self):
-        self.pinv_s = self.core_pinv @ self.s
+
+def centering_stats(d_cross: np.ndarray, core_pinv: np.ndarray) -> CenteringStats:
+    """The statistics of a raw dissimilarity cross block, read before it is centered."""
+    s = d_cross.sum(axis=0)
+    return CenteringStats(s=s, g=float(s @ core_pinv @ s), n=d_cross.shape[0], core_pinv=core_pinv)
 
 
 def select_landmarks(n: int, m: int, seed: int | np.random.Generator = 0) -> np.ndarray:
@@ -177,12 +189,15 @@ def nystrom_eig_psd(f: NystromFactors) -> EigenModel:
     return nystrom_eig_indefinite(f)
 
 
-def nystrom_eig_indefinite(f: NystromFactors) -> EigenModel:
+def nystrom_eig_indefinite(f: NystromFactors, scale: float = 1.0) -> EigenModel:
     """Eigendecomposition of an arbitrary symmetric approximation.
 
+    The approximation is ``K_hat = cross @ (scale * core_pinv) @ cross.T``;
+    a dissimilarity fit passes column-centered rows and ``scale = -0.5``.
+    The scale multiplies H, so no scaled copy of ``core_pinv`` is made.
     With the thin QR ``cross = Q R`` and the SVD ``R = U S Z^T``, the
     approximation is ``K_hat = (Q U) H (Q U)^T`` for the small symmetric
-    ``H = S Z^T core_pinv Z S``.  Diagonalizing ``H = V A V^T`` gives the
+    ``H = scale * S Z^T core_pinv Z S``.  Diagonalizing ``H = V A V^T`` gives the
     eigenvalues A of ``K_hat`` and orthonormal eigenvectors
     ``Q U V = cross Z S^{-1} V``, so ``row_map = Z S^{-1} V``.  Singular
     values ``s <= DEFAULT_PINV_TOL * max(s)`` are dropped, because a centered cross
@@ -195,7 +210,9 @@ def nystrom_eig_indefinite(f: NystromFactors) -> EigenModel:
     keep = sv > DEFAULT_PINV_TOL * sv[0]
     z, s = z[:, keep], sv[keep]
     zs = z * s
-    v, values = sym_eig(zs.T @ f.core_pinv @ zs)
+    h = zs.T @ f.core_pinv @ zs
+    h *= scale
+    v, values = sym_eig(h)
     row_map = (z / s) @ v
     p, q, _ = signature_of(values, DEFAULT_PINV_TOL)
     return EigenModel(values, Signature(p, q, f.m - p - q), row_map, sv, f.cross)
@@ -258,7 +275,7 @@ def nystrom_double_center(
     core_pinv: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, CenteringStats]:
-    """Center the approximation of squared dissimilarities at linear cost.
+    """The landmark blocks of the double centered approximation, at linear cost.
 
     Implements the block form of double centering applied to the landmark
     approximation of D.  With ``s_j = sum_k d_cross[k, j]`` (exact column
@@ -271,8 +288,10 @@ def nystrom_double_center(
 
     Only the summands involving g and t differ from exact double centering;
     the cross block itself and the column-sum term are exact.  Cost is
-    O(N m + m^3).  Returns the two blocks plus the statistics needed to
-    center out-of-sample rows with the same fixed training quantities.
+    O(N m + m^3).  Returns the two blocks plus the statistics of the
+    approximation.  The fit does not use these blocks: it centers through
+    the raw core with ``center_dissimilarity_rows``, whose first pass is
+    also the first step here.
     A caller that already holds ``pinv(d_core)`` passes it as ``core_pinv``.
     The inputs are left unchanged unless ``out`` is given: it receives the
     centered cross block, and passing ``d_cross`` itself centers that block
@@ -289,35 +308,34 @@ def nystrom_double_center(
             raise ValueError("landmark rows of d_cross must equal d_core")
     if core_pinv is None:
         core_pinv = pinv_sym(d_core)
-    s = d_cross.sum(axis=0)
-    g = float(s @ core_pinv @ s)
-    stats = CenteringStats(s=s, g=g, n=n, core_pinv=core_pinv)
+    stats = centering_stats(d_cross, core_pinv)
+    s, g = stats.s, stats.g
     s_core = -0.5 * (d_core - s[None, :] / n - s[:, None] / n + g / n**2)
     s_core = (s_core + s_core.T) / 2.0
+    t = d_cross @ (core_pinv @ s)
+    t /= n
     s_cross = center_dissimilarity_rows(d_cross, stats, out=out)
+    s_cross -= t[:, None]
+    s_cross += g / n**2
+    s_cross *= -0.5
     return s_core, s_cross, stats
 
 
 def center_dissimilarity_rows(
     d_rows: np.ndarray, stats: CenteringStats, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Center rows of squared dissimilarities to landmarks using fixed statistics.
+    """Center rows of squared dissimilarities to the landmarks as ``d - s / N``.
 
-    Applies the same formula as the cross block of ``nystrom_double_center``,
-    so rows already seen at fit time reproduce their fitted values exactly.
-    The centered rows go to a new array, or to ``out`` when given, which may
-    be ``d_rows`` itself: the row sums t are taken before anything is written.
+    This is the one centering of the model path.  A fit centers its raw
+    cross block C with it into ``E = C - 1 s^T / N``, and the double
+    centered approximation is ``E (-0.5 pinv(W)) E^T``, so the row sums, the
+    grand sum and the factor -0.5 all go into the core, never into the rows.
+    New rows centered with the fit's statistics reproduce the fitted rows'
+    bits.  The result goes to a new array, or to ``out`` when given, which
+    may be ``d_rows`` itself; either way it is one pass with no N x m
+    temporary.
     """
     d_rows = np.asarray(d_rows, dtype=np.float64)
     if d_rows.ndim != 2 or d_rows.shape[1] != len(stats.s):
         raise ValueError(f"expected rows of width {len(stats.s)}, got shape {d_rows.shape}")
-    n = stats.n
-    t = d_rows @ stats.pinv_s
-    t /= n
-    # the first step fills the result and the rest update it in place, so centering
-    # allocates no N x m temporary, and no N x m block at all when out is d_rows
-    out = np.subtract(d_rows, stats.s[None, :] / n, out=out)
-    out -= t[:, None]
-    out += stats.g / n**2
-    out *= -0.5
-    return out
+    return np.subtract(d_rows, stats.s / stats.n, out=out)

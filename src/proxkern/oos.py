@@ -1,8 +1,10 @@
 """Out-of-sample extension of corrected models.
 
 New objects never trigger a refit: the fitted ``w_star`` and, for
-dissimilarity-born models, the frozen centering statistics are applied to
-the new rows of raw proximities against the landmarks.
+dissimilarity-born models, the frozen column sums of the fit are applied to
+the new rows of raw proximities against the landmarks.  A new dissimilarity
+row d is centered as ``d - s / N``, exactly as the fit centered its own
+rows, so the rest of the double centering sits in ``w_star``.
 ``extend_similarities`` and ``extend_dissimilarities`` return the block
 between the new objects and the fitted rows; ``extend_features`` returns
 feature rows, whose dot products also give the similarities among the new
@@ -20,9 +22,11 @@ from .nystrom import center_dissimilarity_rows
 def extend_similarities(model: CorrectedModel, s_new: np.ndarray) -> np.ndarray:
     """Corrected similarities between t new points and the fitted rows.
 
-    ``s_new`` holds raw (uncorrected, already centered if the model is
-    dissimilarity-born) similarities between the new points and the m
-    landmarks.  Returns the t x N block ``(s_new @ w_star) @ cross.T``.
+    ``s_new`` holds the new points' proximities to the m landmarks as the
+    model's ``cross`` holds them: raw similarities, or for a
+    dissimilarity-born model squared dissimilarities already centered by
+    ``center_dissimilarity_rows``.  Returns the t x N block
+    ``(s_new @ w_star) @ cross.T``.
     Rows of the training cross block reproduce their corrected_block rows
     exactly.
     """
@@ -35,9 +39,9 @@ def extend_similarities(model: CorrectedModel, s_new: np.ndarray) -> np.ndarray:
 def extend_dissimilarities(model: CorrectedModel, d_new: np.ndarray) -> np.ndarray:
     """Corrected similarities for new squared dissimilarity rows.
 
-    Each row is centered with the training statistics frozen at fit time
-    (per-landmark column sums, grand sum of the approximation and the training
-    count), then extended like a similarity query.
+    Each row d is centered as ``d - s / N`` with the per-landmark column
+    sums s and the training count N frozen at fit time, one subtraction per
+    entry, then extended like a similarity query.
     """
     if model.stats is None:
         raise ValueError(
@@ -53,7 +57,9 @@ def extend_features(model: CorrectedModel, prox_new: np.ndarray) -> np.ndarray:
 
     The corrected similarity between any two extended objects is the dot
     product of their feature rows.  Requires the model's feature factor,
-    which exists for clip and flip (and any psd corrected spectrum).
+    which exists for clip and flip (and any psd corrected spectrum).  Rows
+    for a dissimilarity-born model are squared dissimilarities, centered
+    as in ``extend_dissimilarities``.
     """
     if model.r is None:
         raise ValueError(

@@ -29,4 +29,8 @@ def test_every_hook_but_the_known_stale_one_resolves():
         # cross-validation takes its core pinv from nystrom_factors, traced as
         # proxkern.nystrom.pinv_sym
         "proxkern.evaluate.pinv_sym",
+        # the fit centers through the raw core with center_dissimilarity_rows and
+        # inverts no second core; nystrom_double_center is no longer on the fit path
+        "proxkern.corrections.nystrom_double_center",
+        "proxkern.corrections.pinv_sym",
     }

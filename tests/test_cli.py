@@ -151,6 +151,21 @@ def test_extend_rejects_query_of_the_wrong_width(tmp_path):
         assert not out_path.exists()
 
 
+def test_extend_rejects_a_pcm2_model(tmp_path, capsys):
+    # PCM2 dissimilarity models held a differently centered block and w_star, so a
+    # PCM2 file is not read, even with the layout PCM3 kept
+    (model_path, matrix), _ = _fit_models(tmp_path)
+    raw = model_path.read_bytes()
+    assert raw[:4] == b"PCM3"
+    model_path.write_bytes(b"PCM2" + raw[4:])
+    query_path, out_path = tmp_path / "query.pmb", tmp_path / "ext.pmb"
+    write_block(matrix.values[4:7, :6], query_path, matrix.kind)
+    capsys.readouterr()
+    assert run(["extend", "--model", str(model_path), "--in", str(query_path), "--out", str(out_path)]) == 2
+    assert "bad magic b'PCM2', expected b'PCM3'" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_baseline_subcommands(tmp_path):
     rng = np.random.default_rng(3)
     d = random_squared_dissimilarity(15, rng)

@@ -3,7 +3,7 @@
 Each file under ``tests/data`` is the golden file of one case in ``CASES``,
 written from the hand-built arrays below by the format writers as they stood
 before PMX, PMB and PCM shared one container reader and writer; the PCM
-files are PCM2, with the cross block's bytes in landmark-major order.
+files are PCM3, with the cross block's bytes in landmark-major order.
 Rewriting them must give the same bytes, and reading them must give back
 the same arrays.  The arrays come from ``np.arange`` and exact divisions,
 never from a fit, so no BLAS routine can change a byte.  Each format reads
@@ -143,18 +143,24 @@ def test_writing_to_a_device_leaves_it_uncut():
 # the kind byte follows the 4-byte magic
 KIND_OFFSET = 4
 # a PCM has a flag byte where the others have a kind byte, and its mode byte after it;
-# flip-stats.pcm stores its 2 landmarks right after its 30-byte header, and its
-# centering count after them, a 5 x 2 cross block, a 2 x 2 w_star and a 2 x 1 feature factor
+# flip-stats.pcm stores its 2 landmarks right after its 30-byte header, then a 5 x 2
+# cross block, a 2 x 2 w_star, a 2 x 1 feature factor, the centering count, g, s (2)
+# and a 2 x 2 core pinv
 PCM_MODE_OFFSET = 5
 PCM_LANDMARKS = 30
 PCM_CROSS = PCM_LANDMARKS + 2 * 8
-PCM_STATS_N = PCM_CROSS + 5 * 2 * 8 + 2 * 2 * 8 + 2 * 1 * 8
+PCM_W_STAR = PCM_CROSS + 5 * 2 * 8
+PCM_R = PCM_W_STAR + 2 * 2 * 8
+PCM_STATS_N = PCM_R + 2 * 1 * 8
+PCM_G = PCM_STATS_N + 8
+PCM_S = PCM_G + 8
+PCM_CORE_PINV = PCM_S + 2 * 8
 
 
-def pcm1_bytes(pcm2: bytes) -> bytes:
+def pcm1_bytes(raw: bytes) -> bytes:
     """The retired PCM1 file of flip-stats.pcm's model: magic PCM1, cross block row-major."""
-    cross = np.frombuffer(pcm2, "<f8", 2 * 5, PCM_CROSS).reshape(2, 5)
-    return b"PCM1" + pcm2[4:PCM_CROSS] + cross.T.tobytes() + pcm2[PCM_CROSS + 5 * 2 * 8 :]
+    cross = np.frombuffer(raw, "<f8", 2 * 5, PCM_CROSS).reshape(2, 5)
+    return b"PCM1" + raw[4:PCM_CROSS] + cross.T.tobytes() + raw[PCM_CROSS + 5 * 2 * 8 :]
 
 
 @pytest.mark.parametrize(
@@ -173,9 +179,10 @@ def test_corrupt_files_raise_data_error(name, tmp_path):
     tag[PCM_MODE_OFFSET if name.endswith(".pcm") else KIND_OFFSET] = 7
     bad.append(bytes(tag))
     if name.endswith(".pcm"):
-        # a version this reader does not know, and the retired row-major PCM1, whose
-        # block has PCM2's byte count, so only the magic tells the two apart
-        bad += [b"PCM3" + raw[4:], b"PCM1" + raw[4:]]
+        # a version this reader does not know, PCM2, whose layout PCM3 kept, and the
+        # retired row-major PCM1, whose block has the same byte count: only the magic
+        # tells them apart
+        bad += [b"PCM4" + raw[4:], b"PCM2" + raw[4:], b"PCM1" + raw[4:]]
         assert raw[PCM_STATS_N : PCM_STATS_N + 8] == (5).to_bytes(8, "little")
         for count in (0, 6):  # a centering count that is not the header's n
             corrupt = bytearray(raw)
@@ -191,3 +198,30 @@ def test_corrupt_files_raise_data_error(name, tmp_path):
         path.write_bytes(blob)
         with pytest.raises(DataError):
             read(path)
+
+
+@pytest.mark.parametrize("magic", [b"PCM1", b"PCM2", b"PCM4"])
+def test_other_model_versions_are_bad_magic(magic, tmp_path):
+    # PCM2 has PCM3's layout, but its dissimilarity models hold another centering of
+    # the cross block and a w_star over it, so reading one would extend wrongly
+    raw = (DATA / "flip-stats.pcm").read_bytes()
+    path = tmp_path / "model.pcm"
+    path.write_bytes(magic + raw[4:])
+    with pytest.raises(DataError, match=f"bad magic b'{magic.decode()}'"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "field, offset",
+    [("w_star", PCM_W_STAR + 8), ("r", PCM_R), ("g", PCM_G), ("s", PCM_S + 8),
+     ("core_pinv", PCM_CORE_PINV + 24)],
+)
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_small_arrays_raise_data_error(field, offset, value, tmp_path):
+    raw = bytearray((DATA / "flip-stats.pcm").read_bytes())
+    assert len(raw) == PCM_CORE_PINV + 2 * 2 * 8
+    raw[offset : offset + 8] = np.float64(value).tobytes()
+    path = tmp_path / "flip-stats.pcm"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match=f"non-finite values in {field}$"):
+        load_model(path)

@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from proxkern import evaluate
+from proxkern import eigencore, evaluate, nystrom
 from proxkern import (
+    CenteringStats,
     Kind,
     NystromFactors,
     ProximityMatrix,
@@ -18,7 +19,6 @@ from proxkern import (
     fit_corrected_model,
     fit_corrected_model_from_factors,
     load_model,
-    nystrom_double_center,
     nystrom_eig_indefinite,
     nystrom_factors,
     pinv_sym,
@@ -199,6 +199,37 @@ class TestFitPipeline:
             fit_corrected_model(oracle, m=5, mode="bogus")
         assert oracle.entries_touched == 0
 
+    def test_m_equals_n_fit_matches_the_dense_spectrum(self, ball600):
+        """With every row a landmark, the mode-none model is the double centered
+        matrix itself: its eigenvalues match a dense eigvalsh to 1e-10 of max|lambda|."""
+        matrix, _ = ball600
+        everything = np.arange(matrix.n)
+        model = fit_corrected_model(matrix, landmarks=everything, mode="none")
+        got = np.linalg.eigvalsh(corrected_block(model, everything, everything))
+        want = np.linalg.eigvalsh(double_center(matrix))
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-10 * scale, np.abs(got - want).max() / scale
+
+    def test_dissimilarity_fit_decomposes_the_core_once(self, monkeypatch):
+        """A fit runs two eigendecompositions, of the raw core and of H, and a
+        cross-validation one per repeat plus one per fold: no core is inverted twice."""
+        shapes = []
+        original = eigencore.sym_eig
+
+        def counted(a):
+            shapes.append(np.shape(a))
+            return original(a)
+
+        monkeypatch.setattr(eigencore, "sym_eig", counted)
+        monkeypatch.setattr(nystrom, "sym_eig", counted)
+        d = random_indefinite_dissimilarity(40, np.random.default_rng(27))
+        fit_corrected_model(d, m=9, mode="flip", seed=2)
+        assert shapes == [(9, 9), (9, 9)]
+        shapes.clear()
+        matrix, labels = ball_dataset(15, seed=4)
+        evaluate.crossvalidate(matrix, labels, m=8, mode="flip", folds=3, repeats=2, seed=7)
+        assert len(shapes) == 2 * (1 + 3)
+
     def test_unknown_mode_leaves_the_factors_unwritten(self):
         d = random_squared_dissimilarity(16, np.random.default_rng(17))
         factors = nystrom_factors(d, np.array([1, 5, 9, 13]))
@@ -220,13 +251,23 @@ def reference_factors(source, landmarks):
 
 
 def reference_fit_from_factors(factors, mode):
-    """The fit stages with a non-mutating centering into a new N x m block."""
+    """The fit stages with the centered block and the scaled pinv as new arrays.
+
+    A squared dissimilarity block C is centered into a new ``E = C - 1 s^T / N``
+    and its double centered approximation ``E (-0.5 pinv(W)) E^T`` is handed
+    to the eigendecomposition with ``-0.5 pinv(W)`` written out.  Scaling by
+    -0.5 is exact, so the fit, which scales H instead, must give the same bits.
+    """
     stats = None
     if factors.kind is Kind.SQUARED_DISSIMILARITY:
-        core, cross, stats = nystrom_double_center(
-            factors.cross, factors.core, core_pinv=factors.core_pinv
+        n = factors.cross.shape[0]
+        s = factors.cross.sum(axis=0)
+        g = float(s @ factors.core_pinv @ s)
+        stats = CenteringStats(s=s, g=g, n=n, core_pinv=factors.core_pinv)
+        cross = factors.cross - s[None, :] / n
+        factors = NystromFactors(
+            Kind.SIMILARITY, factors.landmarks, cross, None, -0.5 * factors.core_pinv
         )
-        factors = NystromFactors(Kind.SIMILARITY, factors.landmarks, cross, core, pinv_sym(core))
     eig = nystrom_eig_indefinite(factors)
     return build_corrected_model(eig, factors.landmarks, mode, stats=stats)
 
@@ -338,9 +379,9 @@ class TestFitAssembly:
         x = np.random.default_rng(26).uniform(0.0, 1.0, (n, 3))
         oracle = RowOracle(lambda i: ((x - x[i]) ** 2).sum(axis=1), n)
         # at N = 16 m the leaves have h = 4 m rows: the QR holds the block, one leaf
-        # copy and a stack of 2 leaf Rs, half a leaf, beside the raw and centered core
-        # pinvs; one more m x m array and 1 MB cover the lazily imported modules of a
-        # first fit and the m-vectors.  A stack with room for all 4 leaf Rs exceeds it
+        # copy and a stack of 2 leaf Rs, half a leaf, beside the fit's m x m arrays;
+        # one more m x m array and 1 MB cover the lazily imported modules of a first
+        # fit and the m-vectors.  A stack with room for all 4 leaf Rs exceeds it
         leaf = 8 * 4 * m * m
         budget = 8 * n * m + 1.5 * leaf + 3 * 8 * m * m + 1e6
         tracemalloc.start()
@@ -350,6 +391,27 @@ class TestFitAssembly:
         finally:
             tracemalloc.stop()
         assert peak < budget, f"fit peaked at {peak / 1e6:.1f} MB, budget {budget / 1e6:.1f} MB"
+
+    def test_wide_fit_qr_holds_one_core_pinv(self):
+        m = 300
+        n = 16 * m
+        x = np.random.default_rng(26).uniform(0.0, 1.0, (n, 3))
+        oracle = RowOracle(lambda i: ((x - x[i]) ** 2).sum(axis=1), n)
+        # a small fit first, so the peak holds no lazily imported module
+        fit_corrected_model(oracle, kind=Kind.SQUARED_DISSIMILARITY, m=4, mode="flip", seed=1)
+        # the QR's peak: the block, a leaf copy and half a leaf of stacked Rs, beside
+        # the raw core's pinv, the one m x m array a dissimilarity fit keeps, and half
+        # an m x m array for the m-vectors.  The raw core held through the QR, or the
+        # pinv of a second, centered core, exceeds it
+        leaf = 8 * 4 * m * m
+        budget = 8 * n * m + 1.5 * leaf + 1.5 * 8 * m * m
+        tracemalloc.start()
+        try:
+            fit_corrected_model(oracle, kind=Kind.SQUARED_DISSIMILARITY, m=m, mode="flip", seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget, f"fit peaked at {peak / 1e6:.2f} MB, budget {budget / 1e6:.2f} MB"
 
 
 class TestSerialization:

@@ -466,6 +466,8 @@ class TestDoubleCenterBlocks:
             nystrom_double_center(np.ones((4, 2)), np.zeros((2, 2)), np.array([0, 1]))
 
     def test_centering_rows_reproduces_cross(self):
+        """Rows centered as d - s/N, taken through the raw core scaled by -0.5,
+        give the block formula's centered cross block: E (-0.5 W^+) E[L]^T = S_cross."""
         rng = np.random.default_rng(19)
         d = random_squared_dissimilarity(15, rng)
         landmarks = np.array([2, 6, 10])
@@ -473,7 +475,8 @@ class TestDoubleCenterBlocks:
         d_core = d.values[np.ix_(landmarks, landmarks)]
         _, s_cross, stats = nystrom_double_center(d_cross, d_core, landmarks)
         again = center_dissimilarity_rows(d_cross, stats)
-        assert np.abs(again - s_cross).max() <= 1e-12
+        rebuilt = again @ (-0.5 * stats.core_pinv) @ again[landmarks].T
+        assert np.abs(rebuilt - s_cross).max() <= 1e-12 * np.abs(s_cross).max()
 
     def test_inputs_left_unchanged(self):
         d = random_squared_dissimilarity(15, np.random.default_rng(20))
@@ -510,11 +513,7 @@ class TestDoubleCenterBlocks:
         rng = np.random.default_rng(22)
         d_rows = np.asarray(rng.uniform(0.0, 4.0, (rows, m)), order=order)
         stats = CenteringStats(s=rng.uniform(0.0, 50.0, m), g=321.5, n=40, core_pinv=random_symmetric(m, rng))
-        n = stats.n
-        want = d_rows - stats.s[None, :] / n
-        want -= (d_rows @ (stats.core_pinv @ stats.s))[:, None] / n
-        want += stats.g / n**2
-        want *= -0.5
+        want = d_rows - stats.s[None, :] / stats.n
         got = center_dissimilarity_rows(d_rows, stats, out=d_rows if in_place else None)
         assert (got is d_rows) == in_place
         assert got.flags[f"{order}_CONTIGUOUS"]

@@ -12,7 +12,6 @@ from proxkern import (
     fit_corrected_model,
     fit_corrected_model_from_factors,
     load_model,
-    nystrom_double_center,
     nystrom_factors,
     pinv_sym,
     save_model,
@@ -90,13 +89,12 @@ class TestExtendDissimilarities:
         d = random_indefinite_dissimilarity(25, rng)
         landmarks = np.array([0, 5, 10, 15])
         d_cross = d.values[:, landmarks]
-        d_core = d.values[np.ix_(landmarks, landmarks)]
-        s_core, s_cross, stats = nystrom_double_center(d_cross, d_core, landmarks)
         model = fit_corrected_model(d, landmarks=landmarks, mode="flip")
         from proxkern import center_dissimilarity_rows
 
         row = center_dissimilarity_rows(d_cross[[7]], model.stats)
-        assert np.abs(row - s_cross[7]).max() <= 1e-10 * max(np.abs(s_cross).max(), 1.0)
+        assert np.array_equal(row, model.cross[[7]])
+        assert np.array_equal(center_dissimilarity_rows(d_cross, model.stats), model.cross)
 
     def test_zero_row_zero_stats(self):
         stats = CenteringStats(s=np.zeros(3), g=0.0, n=5, core_pinv=np.zeros((3, 3)))
@@ -111,8 +109,8 @@ class TestExtendDissimilarities:
 
     @pytest.mark.parametrize("loaded", [False, True])
     def test_rows_keep_the_bits_of_the_explicit_row_sum_map(self, tmp_path, loaded):
-        # the stats compute core_pinv @ s once; every extension must give the bits of
-        # the expression that forms it per call
+        # every extension centers a row as d - s / N, one subtraction per entry, and
+        # must give the bits of that expression written out
         d = random_indefinite_dissimilarity(40, np.random.default_rng(11))
         model = fit_corrected_model(d, m=9, mode="flip", seed=2)
         if loaded:
@@ -121,9 +119,6 @@ class TestExtendDissimilarities:
         queries = d.values[3:11][:, model.landmarks]
         st = model.stats
         centered = queries - st.s[None, :] / st.n
-        centered -= (queries @ (st.core_pinv @ st.s))[:, None] / st.n
-        centered += st.g / st.n**2
-        centered *= -0.5
         want = (centered @ model.w_star) @ model.cross.T
         assert np.array_equal(extend_dissimilarities(model, queries), want)
         assert np.array_equal(extend_features(model, queries), centered @ model.r)
