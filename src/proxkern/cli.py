@@ -278,6 +278,8 @@ def _cmd_eval(args) -> int:
             "mean_accuracy": report.mean,
             "std_accuracy": report.std,
             "fold_accuracies": report.accuracies.tolist(),
+            "blas_threads": report.blas_threads,
+            "fold_workers": report.fold_workers,
         }
     elif args.experiment == "fidelity":
         matrix = _load(args.input, args.kind)

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
 import time
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -33,6 +38,12 @@ FULL_ENUMERATION_N = 700
 DEFAULT_FIDELITY_PAIRS = 200_000
 # ridge default: lambda = RIDGE_LAMBDA_SCALE * trace(F^T F) / k
 RIDGE_LAMBDA_SCALE = 1e-3
+# thread-count getters of OpenBLAS: numpy's wheel build, a 64-bit-index build, a plain build
+_OPENBLAS_GETTERS = (
+    "scipy_openblas_get_num_threads64_",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
 
 
 def spearman_rho(a: Sequence[float], b: Sequence[float]) -> float:
@@ -159,6 +170,8 @@ class CvReport:
     accuracies: np.ndarray  # one entry per repeat x fold
     mean: float
     std: float
+    blas_threads: int | None = None  # the BLAS's thread count at the call; None if unknown
+    fold_workers: int = 1  # threads that ran each repeat's folds
 
 
 def stratified_folds(labels: np.ndarray, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -205,6 +218,11 @@ def crossvalidate(
     model is fitted on the training rows only and the held-out rows enter
     through the out-of-sample extension.
 
+    The folds of a repeat run on ``min(folds, usable CPUs // BLAS threads)``
+    threads and only read the repeat's blocks, which are marked read-only.
+    An unknown BLAS thread count, or one worker, runs them serially on the
+    calling thread.  The accuracies do not depend on the worker count.
+
     ``method`` selects the pipeline: "corrected" (landmark correction with
     the given mode), "lmds" (landmark MDS triangulation) or "dspace" (raw
     dissimilarities to the landmarks as features).  A bad argument, the
@@ -226,30 +244,105 @@ def crossvalidate(
     if lam is not None and not lam > 0:
         raise ValueError("lam must be positive")
     root = np.random.SeedSequence(seed)
+    blas_threads = _blas_threads()
+    workers = _fold_workers(folds, blas_threads)
+    pool = ThreadPoolExecutor(workers) if workers > 1 else None
+    failed = threading.Event()
     accuracies = []
-    for repeat_seq in root.spawn(repeats):
-        rng = np.random.default_rng(repeat_seq)
-        landmarks = select_landmarks(n, m, rng)
-        fold_sets = stratified_folds(labels, folds, rng)
-        factors = nystrom_factors(matrix, landmarks)
-        features = factors.cross
-        if method == "lmds":
-            features = lmds_project(lmds_fit(factors.core), features)
-        for test_idx in fold_sets:
-            train_idx = np.setdiff1d(np.arange(n), test_idx)
-            f_train, f_test = features[train_idx], features[test_idx]
-            if method == "corrected":
-                # the fold's factors share the repeat's core and its pinv, which no fit writes
-                model = fit_corrected_model_from_factors(replace(factors, cross=f_train), mode)
-                # extend_features raises for a mode with no feature map, so it runs first;
-                # the training rows need no extension, the fit centered them in model.cross
-                f_test = extend_features(model, f_test)
-                f_train = model.cross @ model.r
-            weights = fit_ridge_classifier(f_train, labels[train_idx], lam)
-            predicted = predict_classes(f_test, weights)
-            accuracies.append(float((predicted == labels[test_idx]).mean()))
+    try:
+        for repeat_seq in root.spawn(repeats):
+            rng = np.random.default_rng(repeat_seq)
+            landmarks = select_landmarks(n, m, rng)
+            fold_sets = stratified_folds(labels, folds, rng)
+            factors = nystrom_factors(matrix, landmarks)
+            features = factors.cross
+            if method == "lmds":
+                features = lmds_project(lmds_fit(factors.core), features)
+            # the folds share the repeat's blocks and only read them, so a write raises
+            for block in (factors.cross, factors.core, factors.core_pinv, features):
+                block.setflags(write=False)
+            fold = functools.partial(
+                _fold_accuracy, factors=factors, features=features, labels=labels,
+                mode=mode, lam=lam, method=method, failed=failed,
+            )
+            accuracies += (pool.map if pool else map)(fold, fold_sets)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     acc = np.array(accuracies)
-    return CvReport(acc, float(acc.mean()), float(acc.std()))
+    return CvReport(acc, float(acc.mean()), float(acc.std()), blas_threads, workers)
+
+
+def _fold_accuracy(test_idx, factors, features, labels, mode, lam, method, failed) -> float:
+    """Accuracy on one held-out fold, the repeat's other rows training the pipeline.
+
+    Each fold indexes its own training and held-out copies of ``features``.
+    The first fold to raise sets ``failed``, and a fold that starts after
+    that stops at once: the caller raises the earlier failure, as folds
+    start in fold order.
+    """
+    if failed.is_set():
+        raise CancelledError
+    try:
+        train_idx = np.setdiff1d(np.arange(len(labels)), test_idx)
+        f_train, f_test = features[train_idx], features[test_idx]
+        if method == "corrected":
+            # the fold's factors share the repeat's core and its pinv, which no fit writes
+            model = fit_corrected_model_from_factors(replace(factors, cross=f_train), mode)
+            # extend_features raises for a mode with no feature map, so it runs first;
+            # the training rows need no extension, the fit centered them in model.cross
+            f_test = extend_features(model, f_test)
+            f_train = model.cross @ model.r
+        weights = fit_ridge_classifier(f_train, labels[train_idx], lam)
+        predicted = predict_classes(f_test, weights)
+        return float((predicted == labels[test_idx]).mean())
+    except BaseException:
+        failed.set()
+        raise
+
+
+def _fold_workers(folds: int, blas_threads: int | None) -> int:
+    """Threads for a repeat's folds: the usable CPUs over the BLAS's threads, one per fold at most.
+
+    Only a known BLAS thread count can leave a CPU idle, so an unknown one
+    gives a single worker and serial folds.
+    """
+    if blas_threads is None:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(folds, cpus // blas_threads))
+
+
+def _blas_threads() -> int | None:
+    """The largest thread count of the OpenBLAS builds in this process, or None.
+
+    The count is read, never set, and read on each call because OpenBLAS
+    can change it at run time.  None when no OpenBLAS reports a count.
+    """
+    try:
+        counts = [getter() for getter in _openblas_getters()]
+    except OSError:
+        return None
+    return max(counts) if counts and min(counts) >= 1 else None
+
+
+@functools.cache
+def _openblas_getters() -> tuple:
+    """The thread-count getter of each OpenBLAS mapped into this process."""
+    with open("/proc/self/maps") as fh:
+        paths = {line.split(None, 5)[5].strip() for line in fh if "openblas" in line.lower()}
+    getters = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        name = next((name for name in _OPENBLAS_GETTERS if hasattr(lib, name)), None)
+        if name is not None:
+            getter = getattr(lib, name)
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            getters.append(getter)
+    return tuple(getters)
 
 
 def convergence_probe(

@@ -49,6 +49,10 @@ def test_gen_then_cv_smoke(tmp_path, capsys):
     assert payload["schema_version"] == 1
     assert 0.0 <= payload["result"]["mean_accuracy"] <= 1.0
     assert len(payload["result"]["fold_accuracies"]) == 8
+    blas_threads, workers = payload["result"]["blas_threads"], payload["result"]["fold_workers"]
+    assert blas_threads is None or blas_threads >= 1
+    assert 1 <= workers <= 4
+    assert workers == 1 or blas_threads is not None
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,10 @@
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,6 +34,8 @@ from proxkern import (
 )
 
 from conftest import random_indefinite_dissimilarity, random_squared_dissimilarity
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def loop_average_ranks(x):
@@ -391,6 +400,116 @@ class TestCrossvalidate:
             matrix, labels, m=80, mode="flip", folds=4, repeats=2, seed=7, method="dspace"
         )
         assert flip.mean > dspace.mean
+
+
+# Prints the probe's BLAS thread count, the usable CPUs and the fold workers for four folds.
+# With pooled workers it also compares a pooled crossvalidate with the same call run serially.
+PROBE_SCRIPT = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from proxkern import ball_dataset, evaluate
+
+threads = evaluate._blas_threads()
+out = {"threads": threads, "cpus": len(os.sched_getaffinity(0))}
+out["workers"] = evaluate._fold_workers(4, threads)
+if out["workers"] > 1:
+    matrix, labels = ball_dataset(30, seed=4)
+    kwargs = dict(m=12, folds=4, repeats=2, seed=1)
+    pooled = evaluate.crossvalidate(matrix, labels, **kwargs)
+    evaluate._fold_workers = lambda folds, blas_threads: 1
+    serial = evaluate.crossvalidate(matrix, labels, **kwargs)
+    out["reports"] = [[r.blas_threads, r.fold_workers] for r in (pooled, serial)]
+    out["same"] = bool(np.array_equal(pooled.accuracies, serial.accuracies))
+print(json.dumps(out))
+"""
+
+
+def run_probe(blas_threads: int) -> dict:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE_SCRIPT, str(SRC)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.fixture
+def pool_ball():
+    from proxkern import ball_dataset
+
+    return ball_dataset(30, seed=4)
+
+
+def patch_workers(monkeypatch, workers):
+    monkeypatch.setattr(evaluate, "_fold_workers", lambda folds, blas_threads: workers)
+
+
+class TestFoldPool:
+    @pytest.mark.parametrize(
+        "method, mode", [("corrected", "flip"), ("corrected", "clip"), ("lmds", "flip"),
+                         ("dspace", "flip")]
+    )
+    def test_pooled_folds_equal_serial_folds(self, pool_ball, monkeypatch, method, mode):
+        matrix, labels = pool_ball
+        kwargs = dict(m=12, mode=mode, folds=4, repeats=2, seed=3, method=method)
+        reports = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so a shared write would show
+        try:
+            for workers in (1, 2, 3):  # 3 workers split the 4 folds unevenly
+                patch_workers(monkeypatch, workers)
+                reports[workers] = crossvalidate(matrix, labels, **kwargs)
+        finally:
+            sys.setswitchinterval(interval)
+        for workers, report in reports.items():
+            assert report.fold_workers == workers
+            assert np.array_equal(report.accuracies, reports[1].accuracies)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_fold_fit_cannot_write_the_shared_blocks(self, pool_ball, monkeypatch, workers):
+        matrix, labels = pool_ball
+
+        def writing_fit(factors, mode):
+            factors.core_pinv[0, 0] = 0.0
+
+        patch_workers(monkeypatch, workers)
+        monkeypatch.setattr(evaluate, "fit_corrected_model_from_factors", writing_fit)
+        with pytest.raises(ValueError, match="read-only"):
+            crossvalidate(matrix, labels, m=12, folds=4, repeats=2, seed=3)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_failing_fold_stops_the_folds_not_yet_started(self, pool_ball, monkeypatch, workers):
+        matrix, labels = pool_ball
+        calls = []
+
+        def failing_fit(factors, mode):
+            # folds 0 and 1 train on 44 rows and fail late, folds 2 and 3 on 46 and fail at once
+            train_rows = factors.cross.shape[0]
+            calls.append(train_rows)
+            if train_rows == 44:
+                time.sleep(0.05)
+            raise ArithmeticError(f"fold fit on {train_rows} rows failed")
+
+        patch_workers(monkeypatch, workers)
+        monkeypatch.setattr(evaluate, "fit_corrected_model_from_factors", failing_fit)
+        with pytest.raises(ArithmeticError, match="on 44 rows"):
+            crossvalidate(matrix, labels, m=12, folds=4, repeats=2, seed=3)
+        assert 1 <= len(calls) <= workers
+
+    def test_the_real_probe_pools_only_a_single_threaded_blas(self):
+        single = run_probe(1)
+        if single["threads"] is None or single["cpus"] < 2:
+            pytest.skip("no OpenBLAS thread count to read, or a single usable CPU")
+        assert single["threads"] == 1
+        assert single["workers"] == min(4, single["cpus"])
+        assert single["reports"] == [[1, single["workers"]], [1, 1]]
+        assert single["same"]
+        # a BLAS with a thread on every usable CPU leaves none for the folds
+        full = run_probe(single["cpus"])
+        assert full["threads"] == single["cpus"]
+        assert full["workers"] == 1
 
 
 class TestConvergenceProbe:
