@@ -218,10 +218,11 @@ def crossvalidate(
     model is fitted on the training rows only and the held-out rows enter
     through the out-of-sample extension.
 
-    The folds of a repeat run on ``min(folds, usable CPUs // BLAS threads)``
-    threads and only read the repeat's blocks, which are marked read-only.
-    An unknown BLAS thread count, or one worker, runs them serially on the
-    calling thread.  The accuracies do not depend on the worker count.
+    With a single-threaded BLAS the folds of a repeat run on
+    ``min(folds, usable CPUs)`` threads and only read the repeat's blocks,
+    which are marked read-only.  Any other or an unknown BLAS thread count,
+    or one worker, runs them serially on the calling thread.  The accuracies
+    do not depend on the worker count.
 
     ``method`` selects the pipeline: "corrected" (landmark correction with
     the given mode), "lmds" (landmark MDS triangulation) or "dspace" (raw
@@ -247,7 +248,6 @@ def crossvalidate(
     blas_threads = _blas_threads()
     workers = _fold_workers(folds, blas_threads)
     pool = ThreadPoolExecutor(workers) if workers > 1 else None
-    failed = threading.Event()
     accuracies = []
     try:
         for repeat_seq in root.spawn(repeats):
@@ -263,9 +263,9 @@ def crossvalidate(
                 block.setflags(write=False)
             fold = functools.partial(
                 _fold_accuracy, factors=factors, features=features, labels=labels,
-                mode=mode, lam=lam, method=method, failed=failed,
+                mode=mode, lam=lam, method=method, first_failure=_FirstFailure(folds),
             )
-            accuracies += (pool.map if pool else map)(fold, fold_sets)
+            accuracies += (pool.map if pool else map)(fold, range(folds), fold_sets)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -273,15 +273,16 @@ def crossvalidate(
     return CvReport(acc, float(acc.mean()), float(acc.std()), blas_threads, workers)
 
 
-def _fold_accuracy(test_idx, factors, features, labels, mode, lam, method, failed) -> float:
-    """Accuracy on one held-out fold, the repeat's other rows training the pipeline.
+def _fold_accuracy(index, test_idx, factors, features, labels, mode, lam, method,
+                   first_failure) -> float:
+    """Accuracy on held-out fold ``index``, the repeat's other rows training the pipeline.
 
     Each fold indexes its own training and held-out copies of ``features``.
-    The first fold to raise sets ``failed``, and a fold that starts after
-    that stops at once: the caller raises the earlier failure, as folds
-    start in fold order.
+    A fold that starts after a fold before it in fold order has raised
+    stops at once; as the caller takes the results in fold order, the
+    failure it raises is always that of a fold that ran.
     """
-    if failed.is_set():
+    if index > first_failure.index:
         raise CancelledError
     try:
         train_idx = np.setdiff1d(np.arange(len(labels)), test_idx)
@@ -297,23 +298,36 @@ def _fold_accuracy(test_idx, factors, features, labels, mode, lam, method, faile
         predicted = predict_classes(f_test, weights)
         return float((predicted == labels[test_idx]).mean())
     except BaseException:
-        failed.set()
+        first_failure.record(index)
         raise
 
 
-def _fold_workers(folds: int, blas_threads: int | None) -> int:
-    """Threads for a repeat's folds: the usable CPUs over the BLAS's threads, one per fold at most.
+class _FirstFailure:
+    """The lowest index of a fold that has raised, shared by one repeat's folds."""
 
-    Only a known BLAS thread count can leave a CPU idle, so an unknown one
-    gives a single worker and serial folds.
+    def __init__(self, folds: int):
+        self.index = folds  # no fold has raised
+        self._lock = threading.Lock()
+
+    def record(self, index: int) -> None:
+        with self._lock:
+            self.index = min(self.index, index)
+
+
+def _fold_workers(folds: int, blas_threads: int | None) -> int:
+    """Threads for a repeat's folds: one per usable CPU and fold when the BLAS runs on one thread.
+
+    Any other BLAS thread count, or an unknown one, gives one worker and
+    serial folds: on 2 CPUs a pool next to a 2-thread OpenBLAS ran at 0.67x
+    of serial folds, and no other multi-threaded case has been measured.
     """
-    if blas_threads is None:
+    if blas_threads != 1:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(folds, cpus // blas_threads))
+    return min(folds, cpus)
 
 
 def _blas_threads() -> int | None:
