@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import functools
 import os
 import threading
 import time
-from concurrent.futures import CancelledError, ThreadPoolExecutor
+from concurrent.futures import CancelledError, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -247,30 +248,74 @@ def crossvalidate(
     root = np.random.SeedSequence(seed)
     blas_threads = _blas_threads()
     workers = _fold_workers(folds, blas_threads)
-    pool = ThreadPoolExecutor(workers) if workers > 1 else None
     accuracies = []
-    try:
-        for repeat_seq in root.spawn(repeats):
-            rng = np.random.default_rng(repeat_seq)
-            landmarks = select_landmarks(n, m, rng)
-            fold_sets = stratified_folds(labels, folds, rng)
-            factors = nystrom_factors(matrix, landmarks)
-            features = factors.cross
-            if method == "lmds":
-                features = lmds_project(lmds_fit(factors.core), features)
-            # the folds share the repeat's blocks and only read them, so a write raises
-            for block in (factors.cross, factors.core, factors.core_pinv, features):
-                block.setflags(write=False)
-            fold = functools.partial(
-                _fold_accuracy, factors=factors, features=features, labels=labels,
-                mode=mode, lam=lam, method=method, first_failure=_FirstFailure(folds),
-            )
-            accuracies += (pool.map if pool else map)(fold, range(folds), fold_sets)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    for repeat_seq in root.spawn(repeats):
+        rng = np.random.default_rng(repeat_seq)
+        landmarks = select_landmarks(n, m, rng)
+        fold_sets = stratified_folds(labels, folds, rng)
+        factors = nystrom_factors(matrix, landmarks)
+        features = factors.cross
+        if method == "lmds":
+            features = lmds_project(lmds_fit(factors.core), features)
+        # the folds share the repeat's blocks and only read them, so a write raises
+        for block in (factors.cross, factors.core, factors.core_pinv, features):
+            block.setflags(write=False)
+        fold = functools.partial(
+            _fold_accuracy, factors=factors, features=features, labels=labels,
+            mode=mode, lam=lam, method=method, first_failure=_FirstFailure(folds),
+        )
+        accuracies += _run_folds(fold, fold_sets, workers)
     acc = np.array(accuracies)
     return CvReport(acc, float(acc.mean()), float(acc.std()), blas_threads, workers)
+
+
+def _run_folds(fold: Callable, fold_sets: list[np.ndarray], workers: int) -> list[float]:
+    """``fold(index, test_idx)`` for every fold, in fold order, on ``workers`` threads.
+
+    The calling thread runs folds itself, next to ``workers - 1`` helper
+    threads that the process keeps between calls, so a call starts no thread
+    and the caller is not woken once per fold.  Each thread takes the next
+    fold not yet taken.  The call returns once every fold has run or been
+    skipped, and raises the failure first in fold order.
+    """
+    todo = collections.deque(enumerate(fold_sets))  # popleft is atomic: each fold runs once
+    outcomes: list = [None] * len(fold_sets)
+
+    def drain() -> None:
+        while True:
+            try:
+                index, test_idx = todo.popleft()
+            except IndexError:
+                return
+            try:
+                outcomes[index] = (fold(index, test_idx), None)
+            except BaseException as exc:  # raised below, in fold order
+                outcomes[index] = (None, exc)
+
+    helpers = []
+    if workers > 1:
+        pool = _helper_pool(workers - 1, os.getpid())
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+    try:
+        drain()
+    finally:
+        wait(helpers)
+    for helper in helpers:
+        helper.result()
+    for _, exc in outcomes:
+        if exc is not None:
+            raise exc
+    return [value for value, _ in outcomes]
+
+
+@functools.cache
+def _helper_pool(threads: int, pid: int) -> ThreadPoolExecutor:
+    """``threads`` fold helper threads, kept for the life of process ``pid``.
+
+    Keyed by the process id because a forked child inherits the pool but not
+    its threads.  Idle helpers wait on the pool's queue and use no CPU.
+    """
+    return ThreadPoolExecutor(threads, thread_name_prefix="proxkern-fold")
 
 
 def _fold_accuracy(index, test_idx, factors, features, labels, mode, lam, method,

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import CancelledError
 from pathlib import Path
@@ -514,6 +515,22 @@ class TestFoldPool:
         assert 0.0 <= fold(0, test_idx) <= 1.0
         with pytest.raises(CancelledError):
             fold(2, test_idx)
+
+    def test_the_helper_threads_are_kept_between_calls(self, pool_ball, monkeypatch):
+        matrix, labels = pool_ball
+        fold_accuracy, runners = evaluate._fold_accuracy, set()
+
+        def recording_fold(*args, **kwargs):
+            runners.add(threading.current_thread())
+            return fold_accuracy(*args, **kwargs)
+
+        patch_workers(monkeypatch, 2)
+        monkeypatch.setattr(evaluate, "_fold_accuracy", recording_fold)
+        for seed in range(3):
+            report = crossvalidate(matrix, labels, m=12, folds=4, repeats=2, seed=seed)
+            assert report.fold_workers == 2
+        # the calling thread and one helper, the same one in every call
+        assert len(runners - {threading.current_thread()}) <= 1
 
     def test_the_pool_is_kept_for_a_single_threaded_blas(self):
         assert evaluate._fold_workers(4, None) == 1
