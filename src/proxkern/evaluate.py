@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import contextlib
 import ctypes
 import functools
 import os
@@ -275,29 +276,33 @@ def _run_folds(fold: Callable, fold_sets: list[np.ndarray], workers: int) -> lis
     The calling thread runs folds itself, next to ``workers - 1`` helper
     threads that the process keeps between calls, so a call starts no thread
     and the caller is not woken once per fold.  Each thread takes the next
-    fold not yet taken.  The call returns once every fold has run or been
-    skipped, and raises the failure first in fold order.
+    fold not yet taken; when the threads take every usable CPU, each runs on
+    a CPU of its own for the call (``_thread_cpus``).  The call returns once
+    every fold has run or been skipped, and raises the failure first in fold
+    order.
     """
     todo = collections.deque(enumerate(fold_sets))  # popleft is atomic: each fold runs once
     outcomes: list = [None] * len(fold_sets)
 
-    def drain() -> None:
-        while True:
-            try:
-                index, test_idx = todo.popleft()
-            except IndexError:
-                return
-            try:
-                outcomes[index] = (fold(index, test_idx), None)
-            except BaseException as exc:  # raised below, in fold order
-                outcomes[index] = (None, exc)
+    def drain(cpu: int | None) -> None:
+        with _pinned(cpu):
+            while True:
+                try:
+                    index, test_idx = todo.popleft()
+                except IndexError:
+                    return
+                try:
+                    outcomes[index] = (fold(index, test_idx), None)
+                except BaseException as exc:  # raised below, in fold order
+                    outcomes[index] = (None, exc)
 
+    cpus = _thread_cpus(workers)
     helpers = []
     if workers > 1:
         pool = _helper_pool(workers - 1, os.getpid())
-        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        helpers = [pool.submit(drain, cpu) for cpu in cpus[1:]]
     try:
-        drain()
+        drain(cpus[0])
     finally:
         wait(helpers)
     for helper in helpers:
@@ -306,6 +311,41 @@ def _run_folds(fold: Callable, fold_sets: list[np.ndarray], workers: int) -> lis
         if exc is not None:
             raise exc
     return [value for value, _ in outcomes]
+
+
+def _thread_cpus(workers: int) -> list:
+    """The CPU each of ``workers`` fold threads runs on, or None to leave it to the OS.
+
+    Threads that take every usable CPU get one each.  Left to the scheduler,
+    two fold threads on a 2-CPU VM sometimes shared one CPU for whole calls
+    while the other idled, as slow as serial folds.  With fewer threads than
+    CPUs, or more, the scheduler places them.
+    """
+    try:
+        usable = sorted(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        usable = []
+    if workers < 2 or len(usable) != workers:
+        return [None] * workers
+    return usable
+
+
+@contextlib.contextmanager
+def _pinned(cpu: int | None):
+    """Run the block with the calling thread on ``cpu`` alone, then give its CPUs back."""
+    if cpu is None:
+        yield
+        return
+    usable = os.sched_getaffinity(0)
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except OSError:  # the CPU left the process's set since it was read
+        usable = None
+    try:
+        yield
+    finally:
+        if usable is not None:
+            os.sched_setaffinity(0, usable)
 
 
 @functools.cache

@@ -532,6 +532,40 @@ class TestFoldPool:
         # the calling thread and one helper, the same one in every call
         assert len(runners - {threading.current_thread()}) <= 1
 
+    def test_each_fold_thread_runs_on_a_cpu_of_its_own(self, pool_ball, monkeypatch):
+        usable = os.sched_getaffinity(0)
+        if len(usable) < 2:
+            pytest.skip("a single usable CPU")
+        matrix, labels = pool_ball
+        fold_accuracy, cpu_sets = evaluate._fold_accuracy, {}
+
+        def recording_fold(index, *args, **kwargs):
+            cpu_sets[threading.current_thread()] = os.sched_getaffinity(0)
+            if index == 3:
+                raise ArithmeticError("the last fold fails")
+            return fold_accuracy(index, *args, **kwargs)
+
+        patch_workers(monkeypatch, 2)
+        monkeypatch.setattr(evaluate, "_fold_accuracy", recording_fold)
+        with pytest.raises(ArithmeticError):
+            crossvalidate(matrix, labels, m=12, folds=4, repeats=1, seed=1)
+        assert all(len(cpus) == 1 and cpus <= usable for cpus in cpu_sets.values())
+        assert len(set().union(*cpu_sets.values())) == len(cpu_sets)
+        # the caller and the kept helper get their CPU sets back, a failing fold notwithstanding
+        assert os.sched_getaffinity(0) == usable
+        helper = evaluate._helper_pool(1, os.getpid())
+        assert helper.submit(os.sched_getaffinity, 0).result() == usable
+
+    def test_only_threads_that_take_every_cpu_are_pinned(self):
+        usable = sorted(os.sched_getaffinity(0))
+        cpus = len(usable)
+        assert evaluate._thread_cpus(1) == [None]
+        assert evaluate._thread_cpus(cpus + 1) == [None] * (cpus + 1)
+        if cpus >= 2:
+            assert evaluate._thread_cpus(cpus) == usable
+        if cpus >= 3:
+            assert evaluate._thread_cpus(2) == [None, None]
+
     def test_the_pool_is_kept_for_a_single_threaded_blas(self):
         assert evaluate._fold_workers(4, None) == 1
         assert evaluate._fold_workers(4, 2) == 1  # unmeasured, and slower on 2 CPUs
