@@ -1,12 +1,18 @@
-"""Symmetric eigendecomposition and tolerance-controlled pseudo-inversion.
+"""Symmetric eigen routines, and tasks on the CPUs that a single-threaded BLAS leaves idle.
 
-Every routine here works on dense symmetric matrices and orders eigenvalues
+The eigen routines work on dense symmetric matrices and order eigenvalues
 descending by algebraic value, so positive directions always come first.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import collections
+import contextlib
+import ctypes
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -15,6 +21,12 @@ import numpy as np
 DEFAULT_PINV_TOL = 1e-12
 # the zero band for signature classification scales with the matrix dimension
 SIGNATURE_TOL_PER_DIM = 1e-8
+# thread-count getters of OpenBLAS: numpy's wheel build, a 64-bit-index build, a plain build
+_OPENBLAS_GETTERS = (
+    "scipy_openblas_get_num_threads64_",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
 
 
 class EigenPair(NamedTuple):
@@ -69,3 +81,139 @@ def signature_of(values: np.ndarray, rel_tol: float | None = None) -> Signature:
     p = int((values > tau).sum())
     q = int((values < -tau).sum())
     return Signature(p, q, len(values) - p - q)
+
+
+def _workers(tasks: int, blas_threads: int | None) -> int:
+    """Threads for ``tasks`` tasks: one per usable CPU and task when the BLAS runs on one thread.
+
+    Any other BLAS thread count, or an unknown one, gives one worker and
+    serial tasks: on 2 CPUs a fold pool next to a 2-thread OpenBLAS ran at
+    0.67x of serial folds, and no other multi-threaded case has been measured.
+    """
+    if blas_threads != 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(tasks, cpus)
+
+
+def _blas_threads() -> int | None:
+    """The largest thread count of the OpenBLAS builds in this process, or None.
+
+    The count is read, never set, and read on each call because OpenBLAS
+    can change it at run time.  None when no OpenBLAS reports a count.
+    """
+    try:
+        counts = [getter() for getter in _openblas_getters()]
+    except OSError:
+        return None
+    return max(counts) if counts and min(counts) >= 1 else None
+
+
+@functools.cache
+def _openblas_getters() -> tuple:
+    """The thread-count getter of each OpenBLAS mapped into this process."""
+    with open("/proc/self/maps") as fh:
+        paths = {line.split(None, 5)[5].strip() for line in fh if "openblas" in line.lower()}
+    getters = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        name = next((name for name in _OPENBLAS_GETTERS if hasattr(lib, name)), None)
+        if name is not None:
+            getter = getattr(lib, name)
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            getters.append(getter)
+    return tuple(getters)
+
+
+def _run_in_order(task: Callable, items: list, workers: int) -> list:
+    """``task(index, item)`` for every item, in item order, on ``workers`` threads.
+
+    The calling thread runs tasks itself, next to ``workers - 1`` helper
+    threads that the process keeps between calls, so a call starts no thread
+    and the caller is not woken once per task.  Each thread takes the next
+    item not yet taken; when the threads take every usable CPU, each runs on
+    a CPU of its own for the call (``_thread_cpus``).  Once the caller finds
+    no item left, a helper's share that has not started is cancelled, so the
+    call waits only for running tasks, never behind other work on the pool,
+    as when it runs on a helper or beside another call.  The call returns
+    once every task has run, and raises the failure first in item order.
+    """
+    todo = collections.deque(enumerate(items))  # popleft is atomic: each task runs once
+    outcomes: list = [None] * len(items)
+
+    def drain(cpu: int | None) -> None:
+        with _pinned(cpu):
+            while True:
+                try:
+                    index, item = todo.popleft()
+                except IndexError:
+                    return
+                try:
+                    outcomes[index] = (task(index, item), None)
+                except BaseException as exc:  # raised below, in item order
+                    outcomes[index] = (None, exc)
+
+    cpus = _thread_cpus(workers)
+    helpers = []
+    if workers > 1:
+        pool = _helper_pool(workers - 1, os.getpid())
+        helpers = [pool.submit(drain, cpu) for cpu in cpus[1:]]
+    try:
+        drain(cpus[0])
+    finally:
+        helpers = [helper for helper in helpers if not helper.cancel()]
+        wait(helpers)
+    for helper in helpers:
+        helper.result()
+    for _, exc in outcomes:
+        if exc is not None:
+            raise exc
+    return [value for value, _ in outcomes]
+
+
+def _thread_cpus(workers: int) -> list:
+    """The CPU each of ``workers`` task threads runs on, or None to leave it to the OS.
+
+    Threads that take every usable CPU get one each.  Left to the scheduler,
+    two fold threads on a 2-CPU VM sometimes shared one CPU for whole calls
+    while the other idled, as slow as serial folds.  With fewer threads than
+    CPUs, or more, the scheduler places them.
+    """
+    try:
+        usable = sorted(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        usable = []
+    if workers < 2 or len(usable) != workers:
+        return [None] * workers
+    return usable
+
+
+@contextlib.contextmanager
+def _pinned(cpu: int | None):
+    """Run the block with the calling thread on ``cpu`` alone, then give its CPUs back."""
+    if cpu is None:
+        yield
+        return
+    usable = os.sched_getaffinity(0)
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except OSError:  # the CPU left the process's set since it was read
+        usable = None
+    try:
+        yield
+    finally:
+        if usable is not None:
+            os.sched_setaffinity(0, usable)
+
+
+@functools.cache
+def _helper_pool(threads: int, pid: int) -> ThreadPoolExecutor:
+    """``threads`` helper threads, kept for the life of process ``pid``.
+
+    Keyed by the process id because a forked child inherits the pool but not
+    its threads.  Idle helpers wait on the pool's queue and use no CPU.
+    """
+    return ThreadPoolExecutor(threads, thread_name_prefix="proxkern-helper")

@@ -2,19 +2,16 @@
 
 from __future__ import annotations
 
-import collections
-import contextlib
-import ctypes
 import functools
-import os
 import threading
 import time
-from concurrent.futures import CancelledError, ThreadPoolExecutor, wait
+from concurrent.futures import CancelledError
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import eigencore
 from .baselines import lmds_fit, lmds_project
 from .corrections import (
     CorrectedModel,
@@ -40,12 +37,6 @@ FULL_ENUMERATION_N = 700
 DEFAULT_FIDELITY_PAIRS = 200_000
 # ridge default: lambda = RIDGE_LAMBDA_SCALE * trace(F^T F) / k
 RIDGE_LAMBDA_SCALE = 1e-3
-# thread-count getters of OpenBLAS: numpy's wheel build, a 64-bit-index build, a plain build
-_OPENBLAS_GETTERS = (
-    "scipy_openblas_get_num_threads64_",
-    "openblas_get_num_threads64_",
-    "openblas_get_num_threads",
-)
 
 
 def spearman_rho(a: Sequence[float], b: Sequence[float]) -> float:
@@ -247,8 +238,8 @@ def crossvalidate(
     if lam is not None and not lam > 0:
         raise ValueError("lam must be positive")
     root = np.random.SeedSequence(seed)
-    blas_threads = _blas_threads()
-    workers = _fold_workers(folds, blas_threads)
+    blas_threads = eigencore._blas_threads()
+    workers = eigencore._workers(folds, blas_threads)
     accuracies = []
     for repeat_seq in root.spawn(repeats):
         rng = np.random.default_rng(repeat_seq)
@@ -265,97 +256,9 @@ def crossvalidate(
             _fold_accuracy, factors=factors, features=features, labels=labels,
             mode=mode, lam=lam, method=method, first_failure=_FirstFailure(folds),
         )
-        accuracies += _run_folds(fold, fold_sets, workers)
+        accuracies += eigencore._run_in_order(fold, fold_sets, workers)
     acc = np.array(accuracies)
     return CvReport(acc, float(acc.mean()), float(acc.std()), blas_threads, workers)
-
-
-def _run_folds(fold: Callable, fold_sets: list[np.ndarray], workers: int) -> list[float]:
-    """``fold(index, test_idx)`` for every fold, in fold order, on ``workers`` threads.
-
-    The calling thread runs folds itself, next to ``workers - 1`` helper
-    threads that the process keeps between calls, so a call starts no thread
-    and the caller is not woken once per fold.  Each thread takes the next
-    fold not yet taken; when the threads take every usable CPU, each runs on
-    a CPU of its own for the call (``_thread_cpus``).  The call returns once
-    every fold has run or been skipped, and raises the failure first in fold
-    order.
-    """
-    todo = collections.deque(enumerate(fold_sets))  # popleft is atomic: each fold runs once
-    outcomes: list = [None] * len(fold_sets)
-
-    def drain(cpu: int | None) -> None:
-        with _pinned(cpu):
-            while True:
-                try:
-                    index, test_idx = todo.popleft()
-                except IndexError:
-                    return
-                try:
-                    outcomes[index] = (fold(index, test_idx), None)
-                except BaseException as exc:  # raised below, in fold order
-                    outcomes[index] = (None, exc)
-
-    cpus = _thread_cpus(workers)
-    helpers = []
-    if workers > 1:
-        pool = _helper_pool(workers - 1, os.getpid())
-        helpers = [pool.submit(drain, cpu) for cpu in cpus[1:]]
-    try:
-        drain(cpus[0])
-    finally:
-        wait(helpers)
-    for helper in helpers:
-        helper.result()
-    for _, exc in outcomes:
-        if exc is not None:
-            raise exc
-    return [value for value, _ in outcomes]
-
-
-def _thread_cpus(workers: int) -> list:
-    """The CPU each of ``workers`` fold threads runs on, or None to leave it to the OS.
-
-    Threads that take every usable CPU get one each.  Left to the scheduler,
-    two fold threads on a 2-CPU VM sometimes shared one CPU for whole calls
-    while the other idled, as slow as serial folds.  With fewer threads than
-    CPUs, or more, the scheduler places them.
-    """
-    try:
-        usable = sorted(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        usable = []
-    if workers < 2 or len(usable) != workers:
-        return [None] * workers
-    return usable
-
-
-@contextlib.contextmanager
-def _pinned(cpu: int | None):
-    """Run the block with the calling thread on ``cpu`` alone, then give its CPUs back."""
-    if cpu is None:
-        yield
-        return
-    usable = os.sched_getaffinity(0)
-    try:
-        os.sched_setaffinity(0, {cpu})
-    except OSError:  # the CPU left the process's set since it was read
-        usable = None
-    try:
-        yield
-    finally:
-        if usable is not None:
-            os.sched_setaffinity(0, usable)
-
-
-@functools.cache
-def _helper_pool(threads: int, pid: int) -> ThreadPoolExecutor:
-    """``threads`` fold helper threads, kept for the life of process ``pid``.
-
-    Keyed by the process id because a forked child inherits the pool but not
-    its threads.  Idle helpers wait on the pool's queue and use no CPU.
-    """
-    return ThreadPoolExecutor(threads, thread_name_prefix="proxkern-fold")
 
 
 def _fold_accuracy(index, test_idx, factors, features, labels, mode, lam, method,
@@ -397,51 +300,6 @@ class _FirstFailure:
     def record(self, index: int) -> None:
         with self._lock:
             self.index = min(self.index, index)
-
-
-def _fold_workers(folds: int, blas_threads: int | None) -> int:
-    """Threads for a repeat's folds: one per usable CPU and fold when the BLAS runs on one thread.
-
-    Any other BLAS thread count, or an unknown one, gives one worker and
-    serial folds: on 2 CPUs a pool next to a 2-thread OpenBLAS ran at 0.67x
-    of serial folds, and no other multi-threaded case has been measured.
-    """
-    if blas_threads != 1:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    return min(folds, cpus)
-
-
-def _blas_threads() -> int | None:
-    """The largest thread count of the OpenBLAS builds in this process, or None.
-
-    The count is read, never set, and read on each call because OpenBLAS
-    can change it at run time.  None when no OpenBLAS reports a count.
-    """
-    try:
-        counts = [getter() for getter in _openblas_getters()]
-    except OSError:
-        return None
-    return max(counts) if counts and min(counts) >= 1 else None
-
-
-@functools.cache
-def _openblas_getters() -> tuple:
-    """The thread-count getter of each OpenBLAS mapped into this process."""
-    with open("/proc/self/maps") as fh:
-        paths = {line.split(None, 5)[5].strip() for line in fh if "openblas" in line.lower()}
-    getters = []
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        name = next((name for name in _OPENBLAS_GETTERS if hasattr(lib, name)), None)
-        if name is not None:
-            getter = getattr(lib, name)
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            getters.append(getter)
-    return tuple(getters)
 
 
 def convergence_probe(

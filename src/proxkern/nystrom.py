@@ -165,7 +165,8 @@ def nystrom_factors(
         rows[j] = oracle.row(i)
     cross = rows.T
     core = cross[landmarks]
-    core = (core + core.T) / 2.0
+    core = core + core.T
+    core /= 2.0  # in place: one m x m temporary without relying on numpy's temporary elision
     return NystromFactors(kind, landmarks, cross, core, pinv_sym(core))
 
 

@@ -15,8 +15,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import eigencore
 from .corrections import CorrectedModel
 from .nystrom import center_dissimilarity_rows
+
+# t * m * N multiply-adds from which an extension's product is split over threads:
+# on 2 CPUs with one BLAS thread a split product of 6.4e6 was no faster than serial
+# (waking a helper takes about 0.1 ms) and one of 1.6e7 took 0.73x of its time
+SPLIT_WORK = 1 << 23
+# each thread's column range starts at a multiple of this, so it is packed and
+# summed as in the whole product and the split leaves every bit as it was
+SPLIT_COLUMNS = 64
 
 
 def extend_similarities(model: CorrectedModel, s_new: np.ndarray) -> np.ndarray:
@@ -29,11 +38,29 @@ def extend_similarities(model: CorrectedModel, s_new: np.ndarray) -> np.ndarray:
     ``(s_new @ w_star) @ cross.T``.
     Rows of the training cross block reproduce their corrected_block rows
     exactly.
+
+    From ``SPLIT_WORK`` multiply-adds on, with a single-threaded BLAS, the
+    second product fills column ranges of the block on the task threads of
+    ``eigencore``, bit for bit the serial product.
     """
     s_new = np.atleast_2d(np.asarray(s_new, dtype=np.float64))
     if s_new.shape[1] != model.m:
         raise ValueError(f"query rows have width {s_new.shape[1]}, model has m={model.m}")
-    return (s_new @ model.w_star) @ model.cross.T
+    a, cross_t = s_new @ model.w_star, model.cross.T
+    t, n = len(a), model.n
+    panels, workers = -(-n // SPLIT_COLUMNS), 1
+    if t * model.m * n >= SPLIT_WORK:
+        workers = eigencore._workers(panels, eigencore._blas_threads())
+    if workers == 1:
+        return a @ cross_t
+    out = np.empty((t, n))
+    edges = [panels * i // workers * SPLIT_COLUMNS for i in range(workers)] + [n]
+
+    def fill(_, cols: slice) -> None:
+        np.matmul(a, cross_t[:, cols], out=out[:, cols])
+
+    eigencore._run_in_order(fill, [slice(*e) for e in zip(edges, edges[1:])], workers)
+    return out
 
 
 def extend_dissimilarities(model: CorrectedModel, d_new: np.ndarray) -> np.ndarray:

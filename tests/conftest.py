@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from proxkern import Kind, ProximityMatrix
+from proxkern import Kind, ProximityMatrix, eigencore
 
 
 def random_squared_dissimilarity(n: int, rng: np.random.Generator, dim: int = 4) -> ProximityMatrix:
@@ -36,6 +36,11 @@ def random_symmetric(n: int, rng: np.random.Generator, rank: int | None = None) 
     basis = rng.standard_normal((n, rank))
     spectrum = rng.standard_normal(rank) * np.linspace(2.0, 0.5, rank)
     return (basis * spectrum) @ basis.T
+
+
+def patch_workers(monkeypatch, workers: int) -> None:
+    """Make the task-thread rule give ``workers`` threads, whatever the BLAS and the CPUs."""
+    monkeypatch.setattr(eigencore, "_workers", lambda tasks, blas_threads: workers)
 
 
 @pytest.fixture(scope="session")

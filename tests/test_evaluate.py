@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxkern import evaluate
+from proxkern import eigencore, evaluate
 from proxkern import (
     Kind,
     NystromFactors,
@@ -36,7 +36,7 @@ from proxkern import (
     stratified_folds,
 )
 
-from conftest import random_indefinite_dissimilarity, random_squared_dissimilarity
+from conftest import patch_workers, random_indefinite_dissimilarity, random_squared_dissimilarity
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -405,22 +405,37 @@ class TestCrossvalidate:
         assert flip.mean > dspace.mean
 
 
-# Prints the probe's BLAS thread count, the usable CPUs and the fold workers for four folds.
-# With pooled workers it also compares a pooled crossvalidate with the same call run serially.
+# Prints the probe's BLAS thread count, the usable CPUs and the task workers for four folds,
+# and the workers that split an extension of 64 x 100 x 2001 multiply-adds (0 when it ran
+# serially) and whether its block equals the serial product bit for bit.  With pooled workers
+# it also compares a pooled crossvalidate with the same call run serially.
 PROBE_SCRIPT = """
 import json, os, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from proxkern import ball_dataset, evaluate
+from proxkern import Kind, ProximityMatrix, ball_dataset, eigencore, evaluate, oos
+from proxkern import fit_corrected_model
 
-threads = evaluate._blas_threads()
+threads = eigencore._blas_threads()
 out = {"threads": threads, "cpus": len(os.sched_getaffinity(0))}
-out["workers"] = evaluate._fold_workers(4, threads)
+out["workers"] = eigencore._workers(4, threads)
+x = np.random.default_rng(2).standard_normal((2001, 6))
+model = fit_corrected_model(ProximityMatrix(Kind.SIMILARITY, x @ x.T), m=100, seed=0)
+rows = x[:64] @ x[model.landmarks].T
+run_in_order, split = eigencore._run_in_order, [0]
+def recording_run(task, items, workers):
+    split[0] = workers
+    return run_in_order(task, items, workers)
+eigencore._run_in_order = recording_run
+block = oos.extend_similarities(model, rows)
+eigencore._run_in_order = run_in_order
+out["split_workers"] = split[0]
+out["split_same"] = block.tobytes() == ((rows @ model.w_star) @ model.cross.T).tobytes()
 if out["workers"] > 1:
     matrix, labels = ball_dataset(30, seed=4)
     kwargs = dict(m=12, folds=4, repeats=2, seed=1)
     pooled = evaluate.crossvalidate(matrix, labels, **kwargs)
-    evaluate._fold_workers = lambda folds, blas_threads: 1
+    eigencore._workers = lambda tasks, blas_threads: 1
     serial = evaluate.crossvalidate(matrix, labels, **kwargs)
     out["reports"] = [[r.blas_threads, r.fold_workers] for r in (pooled, serial)]
     out["same"] = bool(np.array_equal(pooled.accuracies, serial.accuracies))
@@ -443,10 +458,6 @@ def pool_ball():
     from proxkern import ball_dataset
 
     return ball_dataset(30, seed=4)
-
-
-def patch_workers(monkeypatch, workers):
-    monkeypatch.setattr(evaluate, "_fold_workers", lambda folds, blas_threads: workers)
 
 
 class TestFoldPool:
@@ -553,24 +564,24 @@ class TestFoldPool:
         assert len(set().union(*cpu_sets.values())) == len(cpu_sets)
         # the caller and the kept helper get their CPU sets back, a failing fold notwithstanding
         assert os.sched_getaffinity(0) == usable
-        helper = evaluate._helper_pool(1, os.getpid())
+        helper = eigencore._helper_pool(1, os.getpid())
         assert helper.submit(os.sched_getaffinity, 0).result() == usable
 
     def test_only_threads_that_take_every_cpu_are_pinned(self):
         usable = sorted(os.sched_getaffinity(0))
         cpus = len(usable)
-        assert evaluate._thread_cpus(1) == [None]
-        assert evaluate._thread_cpus(cpus + 1) == [None] * (cpus + 1)
+        assert eigencore._thread_cpus(1) == [None]
+        assert eigencore._thread_cpus(cpus + 1) == [None] * (cpus + 1)
         if cpus >= 2:
-            assert evaluate._thread_cpus(cpus) == usable
+            assert eigencore._thread_cpus(cpus) == usable
         if cpus >= 3:
-            assert evaluate._thread_cpus(2) == [None, None]
+            assert eigencore._thread_cpus(2) == [None, None]
 
     def test_the_pool_is_kept_for_a_single_threaded_blas(self):
-        assert evaluate._fold_workers(4, None) == 1
-        assert evaluate._fold_workers(4, 2) == 1  # unmeasured, and slower on 2 CPUs
-        assert evaluate._fold_workers(4, 1) == min(4, len(os.sched_getaffinity(0)))
-        assert evaluate._fold_workers(1, 1) == 1
+        assert eigencore._workers(4, None) == 1
+        assert eigencore._workers(4, 2) == 1  # unmeasured, and slower on 2 CPUs
+        assert eigencore._workers(4, 1) == min(4, len(os.sched_getaffinity(0)))
+        assert eigencore._workers(1, 1) == 1
 
     def test_the_real_probe_pools_only_a_single_threaded_blas(self):
         single = run_probe(1)
@@ -580,13 +591,17 @@ class TestFoldPool:
         assert single["workers"] == min(4, single["cpus"])
         assert single["reports"] == [[1, single["workers"]], [1, 1]]
         assert single["same"]
-        # a multi-threaded BLAS keeps the folds serial; OpenBLAS may cap the
+        assert single["split_workers"] == min(32, single["cpus"])  # 2001 columns: 32 panels
+        assert single["split_same"]
+        # a multi-threaded BLAS keeps the folds and the extension serial; OpenBLAS may cap the
         # count below the CPUs it was asked for, so the test reads what it got
         full = run_probe(single["cpus"])
         if full["threads"] == 1:
             pytest.skip("this OpenBLAS runs a single thread whatever it is asked")
         assert full["threads"] > 1
         assert full["workers"] == 1
+        assert full["split_workers"] == 0  # the extension stayed on the calling thread
+        assert full["split_same"]
 
 
 class TestConvergenceProbe:

@@ -99,6 +99,14 @@ class TestFactors:
         f = sim_factors_from(m, lm)
         assert np.array_equal(f.cross[lm], f.core)
 
+    def test_the_core_keeps_the_bits_of_the_two_temporary_mean(self):
+        values = np.random.default_rng(9).standard_normal((12, 12))  # asymmetric, so averaged
+        lm = np.array([1, 4, 6, 10])
+        f = nystrom_factors(RowOracle(lambda i: values[i], 12), lm, kind=Kind.SIMILARITY)
+        block = f.cross[lm]
+        assert f.core.tobytes() == ((block + block.T) / 2.0).tobytes()
+        assert np.array_equal(f.core, f.core.T)
+
     def test_row_oracle_touches_linear_entries(self):
         rng = np.random.default_rng(4)
         m = random_symmetric(50, rng)

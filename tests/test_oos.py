@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,11 @@ from proxkern import (
     CenteringStats,
     Kind,
     NystromFactors,
+    RowOracle,
+    ball_dataset,
+    center_dissimilarity_rows,
     corrected_block,
+    crossvalidate,
     extend_dissimilarities,
     extend_features,
     extend_similarities,
@@ -17,7 +25,9 @@ from proxkern import (
     save_model,
 )
 
-from conftest import random_indefinite_dissimilarity, random_symmetric
+from proxkern import eigencore, oos
+
+from conftest import patch_workers, random_indefinite_dissimilarity, random_symmetric
 
 
 def similarity_model(n, m, mode, rng, landmarks=None):
@@ -159,3 +169,101 @@ class TestExtendDissimilarities:
         via_features = f_new @ f_train.T
         direct = extend_dissimilarities(model, queries)
         assert np.abs(via_features - direct).max() <= 1e-8 * max(np.abs(direct).max(), 1.0)
+
+
+@pytest.fixture(scope="module")
+def wide_model():
+    """A dissimilarity model and 64 query rows: N is no multiple of 64, and even a
+    one-row extension does ``oos.SPLIT_WORK`` multiply-adds or more."""
+    m = 200
+    n = -(-oos.SPLIT_WORK // m)
+    n += n % oos.SPLIT_COLUMNS == 0
+    x = np.random.default_rng(12).standard_normal((n + 64, 3))
+    oracle = RowOracle(lambda i: ((x[:n] - x[i]) ** 2).sum(axis=1), n)
+    model = fit_corrected_model(oracle, kind=Kind.SQUARED_DISSIMILARITY, m=m, seed=0)
+    d_new = ((x[n:, None, :] - x[None, model.landmarks, :]) ** 2).sum(axis=-1)
+    return model, d_new
+
+
+def serial_extension(model, d_new):
+    return (center_dissimilarity_rows(d_new, model.stats) @ model.w_star) @ model.cross.T
+
+
+def record_splits(monkeypatch) -> list:
+    """The worker count of every split the extension makes from now on."""
+    run_in_order, splits = eigencore._run_in_order, []
+
+    def recording_run(task, items, workers):
+        splits.append(workers)
+        return run_in_order(task, items, workers)
+
+    monkeypatch.setattr(eigencore, "_run_in_order", recording_run)
+    return splits
+
+
+class TestSplitExtension:
+    @pytest.mark.parametrize("t", [1, 64])
+    def test_a_split_extension_equals_the_serial_product(self, wide_model, monkeypatch, t):
+        model, d_new = wide_model
+        d_new = d_new[:t]
+        serial = serial_extension(model, d_new)
+        splits = record_splits(monkeypatch)
+        patch_workers(monkeypatch, 2)
+        s_new = center_dissimilarity_rows(d_new, model.stats)
+        for got in (extend_similarities(model, s_new), extend_dissimilarities(model, d_new)):
+            assert got.tobytes() == serial.tobytes()
+        assert splits == [2, 2]
+
+    def test_below_the_floor_no_helper_thread_runs(self, monkeypatch):
+        model, _ = similarity_model(600, 20, "flip", np.random.default_rng(13))
+        queries = model.cross[:64]
+        assert 64 * model.m * model.n < oos.SPLIT_WORK
+        serial = (queries @ model.w_star) @ model.cross.T
+        splits = record_splits(monkeypatch)
+        patch_workers(monkeypatch, 2)
+
+        def no_probe():
+            pytest.fail("an extension below the floor read the BLAS thread count")
+
+        monkeypatch.setattr(eigencore, "_blas_threads", no_probe)
+        assert extend_similarities(model, queries).tobytes() == serial.tobytes()
+        assert splits == []
+
+    def test_an_extension_on_a_kept_helper_thread_returns(self, wide_model, monkeypatch):
+        # the split's own helper task queues behind this one on the pool's single thread
+        model, d_new = wide_model
+        serial = serial_extension(model, d_new)
+        patch_workers(monkeypatch, 2)
+        helper = eigencore._helper_pool(1, os.getpid())
+        got = helper.submit(extend_dissimilarities, model, d_new).result(timeout=60)
+        assert got.tobytes() == serial.tobytes()
+
+    def test_concurrent_calls_give_serial_bits(self, wide_model, monkeypatch):
+        model, d_new = wide_model
+        matrix, labels = ball_dataset(30, seed=4)
+        kwargs = dict(m=12, folds=4, repeats=2, seed=3)
+        serial = {"cv": crossvalidate(matrix, labels, **kwargs).accuracies,
+                  "extend": serial_extension(model, d_new)}
+        patch_workers(monkeypatch, 3)  # more threads than this host's CPUs, so none is pinned
+        calls = {"cv": lambda: crossvalidate(matrix, labels, **kwargs).accuracies,
+                 "extend": lambda: extend_dissimilarities(model, d_new)}
+        start, results = threading.Barrier(len(calls)), {}
+
+        def run(name):
+            start.wait(timeout=60)
+            results[name] = [calls[name]() for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so a shared write would show
+        try:
+            threads = [threading.Thread(target=run, args=(name,)) for name in calls]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for name, runs in results.items():
+            assert all(run.tobytes() == serial[name].tobytes() for run in runs)
+        assert results.keys() == calls.keys()
