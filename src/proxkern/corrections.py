@@ -250,14 +250,23 @@ def save_model(model: CorrectedModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> CorrectedModel:
     """Read a PCM3 model, raising ``DataError`` on any malformed file.
 
-    A non-finite value in ``w_star``, the feature factor or the centering
-    statistics is an error.  The N x m cross block is not scanned: that
-    would be a second pass over the largest array on every load.
+    A header that no fit writes is an error: no landmarks, an unknown flag
+    bit, or a clip or flip model without its feature factor.  So is a
+    non-finite value in ``w_star``, the feature factor or the centering
+    statistics.  The N x m cross block is not scanned: that would be a
+    second pass over the largest array on every load.
     """
     with read_container(path, _PCM_HEADER, _PCM_MAGIC) as (header, take):
         _, flags, mode_idx, n, m, k = header
         if mode_idx >= len(MODES):
             raise DataError(f"{path}: unknown mode byte {mode_idx}")
+        if flags > 7:
+            raise DataError(f"{path}: unknown flag bits in {flags:#04x}")
+        if m == 0:
+            raise DataError(f"{path}: a model needs at least one landmark")
+        mode = MODES[mode_idx]
+        if mode in ("clip", "flip") and not flags & 2:
+            raise DataError(f"{path}: a {mode} model needs its feature factor")
         landmarks = checked_landmarks(path, take(m, "<u8"), n)
         cross = take(n * m, "<f8").reshape(m, n).T
         w_star = take(m * m, "<f8").reshape(m, m)
@@ -280,7 +289,7 @@ def load_model(path: str | Path) -> CorrectedModel:
         landmarks=landmarks,
         cross=cross,
         w_star=w_star,
-        mode=MODES[mode_idx],
+        mode=mode,
         r=r,
         stats=stats,
         ill_conditioned=bool(flags & 4),

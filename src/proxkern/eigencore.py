@@ -11,6 +11,7 @@ import contextlib
 import ctypes
 import functools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, NamedTuple
 
@@ -129,7 +130,7 @@ def _openblas_getters() -> tuple:
 
 
 def _run_in_order(task: Callable, items: list, workers: int) -> list:
-    """``task(index, item)`` for every item, in item order, on ``workers`` threads.
+    """``task(item)`` for every item, in item order, on ``workers`` threads.
 
     The calling thread runs tasks itself, next to ``workers - 1`` helper
     threads that the process keeps between calls, so a call starts no thread
@@ -138,23 +139,32 @@ def _run_in_order(task: Callable, items: list, workers: int) -> list:
     a CPU of its own for the call (``_thread_cpus``).  Once the caller finds
     no item left, a helper's share that has not started is cancelled, so the
     call waits only for running tasks, never behind other work on the pool,
-    as when it runs on a helper or beside another call.  The call returns
-    once every task has run, and raises the failure first in item order.
+    as when it runs on a helper or beside another call.  A thread skips an
+    item after one whose task has raised.  The call returns once every task
+    has run or been skipped, and raises the failure first in item order,
+    which serial tasks would raise too: every item before it has run.
     """
     todo = collections.deque(enumerate(items))  # popleft is atomic: each task runs once
-    outcomes: list = [None] * len(items)
+    results: list = [None] * len(items)
+    lock = threading.Lock()
+    first_failed, failure = len(items), None  # the lowest index whose task raised, its error
 
     def drain(cpu: int | None) -> None:
+        nonlocal first_failed, failure
         with _pinned(cpu):
             while True:
                 try:
                     index, item = todo.popleft()
                 except IndexError:
                     return
+                if index > first_failed:  # unlocked: a stale read at worst runs one more task
+                    continue
                 try:
-                    outcomes[index] = (task(index, item), None)
-                except BaseException as exc:  # raised below, in item order
-                    outcomes[index] = (None, exc)
+                    results[index] = task(item)
+                except BaseException as exc:  # raised below, once every thread is done
+                    with lock:
+                        if index < first_failed:
+                            first_failed, failure = index, exc
 
     cpus = _thread_cpus(workers)
     helpers = []
@@ -168,10 +178,9 @@ def _run_in_order(task: Callable, items: list, workers: int) -> list:
         wait(helpers)
     for helper in helpers:
         helper.result()
-    for _, exc in outcomes:
-        if exc is not None:
-            raise exc
-    return [value for value, _ in outcomes]
+    if failure is not None:
+        raise failure
+    return results
 
 
 def _thread_cpus(workers: int) -> list:

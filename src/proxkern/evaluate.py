@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import functools
-import threading
 import time
-from concurrent.futures import CancelledError
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -254,52 +252,30 @@ def crossvalidate(
             block.setflags(write=False)
         fold = functools.partial(
             _fold_accuracy, factors=factors, features=features, labels=labels,
-            mode=mode, lam=lam, method=method, first_failure=_FirstFailure(folds),
+            mode=mode, lam=lam, method=method,
         )
         accuracies += eigencore._run_in_order(fold, fold_sets, workers)
     acc = np.array(accuracies)
     return CvReport(acc, float(acc.mean()), float(acc.std()), blas_threads, workers)
 
 
-def _fold_accuracy(index, test_idx, factors, features, labels, mode, lam, method,
-                   first_failure) -> float:
-    """Accuracy on held-out fold ``index``, the repeat's other rows training the pipeline.
+def _fold_accuracy(test_idx, factors, features, labels, mode, lam, method) -> float:
+    """Accuracy on the held-out rows ``test_idx``, the repeat's other rows training the pipeline.
 
     Each fold indexes its own training and held-out copies of ``features``.
-    A fold that starts after a fold before it in fold order has raised
-    stops at once; as the caller takes the results in fold order, the
-    failure it raises is always that of a fold that ran.
     """
-    if index > first_failure.index:
-        raise CancelledError
-    try:
-        train_idx = np.setdiff1d(np.arange(len(labels)), test_idx)
-        f_train, f_test = features[train_idx], features[test_idx]
-        if method == "corrected":
-            # the fold's factors share the repeat's core and its pinv, which no fit writes
-            model = fit_corrected_model_from_factors(replace(factors, cross=f_train), mode)
-            # extend_features raises for a mode with no feature map, so it runs first;
-            # the training rows need no extension, the fit centered them in model.cross
-            f_test = extend_features(model, f_test)
-            f_train = model.cross @ model.r
-        weights = fit_ridge_classifier(f_train, labels[train_idx], lam)
-        predicted = predict_classes(f_test, weights)
-        return float((predicted == labels[test_idx]).mean())
-    except BaseException:
-        first_failure.record(index)
-        raise
-
-
-class _FirstFailure:
-    """The lowest index of a fold that has raised, shared by one repeat's folds."""
-
-    def __init__(self, folds: int):
-        self.index = folds  # no fold has raised
-        self._lock = threading.Lock()
-
-    def record(self, index: int) -> None:
-        with self._lock:
-            self.index = min(self.index, index)
+    train_idx = np.setdiff1d(np.arange(len(labels)), test_idx)
+    f_train, f_test = features[train_idx], features[test_idx]
+    if method == "corrected":
+        # the fold's factors share the repeat's core and its pinv, which no fit writes
+        model = fit_corrected_model_from_factors(replace(factors, cross=f_train), mode)
+        # extend_features raises for a mode with no feature map, so it runs first;
+        # the training rows need no extension, the fit centered them in model.cross
+        f_test = extend_features(model, f_test)
+        f_train = model.cross @ model.r
+    weights = fit_ridge_classifier(f_train, labels[train_idx], lam)
+    predicted = predict_classes(f_test, weights)
+    return float((predicted == labels[test_idx]).mean())
 
 
 def convergence_probe(

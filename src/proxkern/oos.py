@@ -56,7 +56,7 @@ def extend_similarities(model: CorrectedModel, s_new: np.ndarray) -> np.ndarray:
     out = np.empty((t, n))
     edges = [panels * i // workers * SPLIT_COLUMNS for i in range(workers)] + [n]
 
-    def fill(_, cols: slice) -> None:
+    def fill(cols: slice) -> None:
         np.matmul(a, cross_t[:, cols], out=out[:, cols])
 
     eigencore._run_in_order(fill, [slice(*e) for e in zip(edges, edges[1:])], workers)

@@ -147,6 +147,9 @@ KIND_OFFSET = 4
 # cross block, a 2 x 2 w_star, a 2 x 1 feature factor, the centering count, g, s (2)
 # and a 2 x 2 core pinv
 PCM_MODE_OFFSET = 5
+# the header's u64 m and k
+PCM_M_OFFSET = 14
+PCM_K_OFFSET = 22
 PCM_LANDMARKS = 30
 PCM_CROSS = PCM_LANDMARKS + 2 * 8
 PCM_W_STAR = PCM_CROSS + 5 * 2 * 8
@@ -193,6 +196,20 @@ def test_corrupt_files_raise_data_error(name, tmp_path):
             corrupt = bytearray(raw)
             corrupt[PCM_LANDMARKS : PCM_LANDMARKS + 8] = landmark
             bad.append(bytes(corrupt))
+        # whole files that no fit writes: an unknown flag bit, a flip model without its
+        # feature factor, and a model without landmarks (a none model's header alone)
+        corrupt = bytearray(raw)
+        corrupt[KIND_OFFSET] |= 8
+        bad.append(bytes(corrupt))
+        corrupt = bytearray(raw[:PCM_R] + raw[PCM_STATS_N:])
+        corrupt[KIND_OFFSET] &= ~2
+        corrupt[PCM_K_OFFSET : PCM_K_OFFSET + 8] = bytes(8)
+        bad.append(bytes(corrupt))
+        corrupt = bytearray(raw[:PCM_LANDMARKS])
+        corrupt[KIND_OFFSET] = 0
+        corrupt[PCM_MODE_OFFSET] = MODES.index("none")
+        corrupt[PCM_M_OFFSET : PCM_K_OFFSET + 8] = bytes(16)
+        bad.append(bytes(corrupt))
     path = tmp_path / golden
     for blob in bad:
         path.write_bytes(blob)

@@ -1,7 +1,10 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from proxkern import pinv_sym, signature_of, sym_eig
+from proxkern import eigencore, pinv_sym, signature_of, sym_eig
 
 from conftest import random_symmetric
 
@@ -99,3 +102,27 @@ class TestSignature:
         values = np.array([1e6, 1.0, -1e-4])
         # explicit band swallowing the small entries
         assert signature_of(values, rel_tol=1e-2) == (1, 0, 2)
+
+
+class TestRunInOrder:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("first_fails", [False, True])
+    def test_only_the_items_after_the_first_failure_are_skipped(self, workers, first_fails):
+        # on 2 threads item 1 raises while item 0 still runs; item 2 is taken after that
+        one_raised, ended = threading.Event(), []
+
+        def task(item):
+            if item == 1:
+                one_raised.set()
+                raise ArithmeticError("item 1 failed")
+            if item == 0 and workers == 2:
+                assert one_raised.wait(timeout=60)
+                time.sleep(0.1)  # the other thread records the failure, then takes item 2
+            ended.append(item)
+            if item == 0 and first_fails:
+                raise ArithmeticError("item 0 failed")
+            return item
+
+        with pytest.raises(ArithmeticError, match=f"item {0 if first_fails else 1} failed"):
+            eigencore._run_in_order(task, [0, 1, 2], workers)
+        assert ended == [0]  # item 0 ran to its end, item 2 never ran

@@ -1,11 +1,9 @@
-import functools
 import json
 import os
 import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import CancelledError
 from pathlib import Path
 
 import numpy as np
@@ -512,21 +510,6 @@ class TestFoldPool:
             crossvalidate(matrix, labels, m=12, folds=4, repeats=2, seed=3)
         assert 1 <= len(calls) <= workers
 
-    def test_only_the_folds_after_the_first_failure_are_skipped(self, pool_ball):
-        # fold 1 has failed while fold 0 was still queued: fold 0 runs, fold 2 is skipped
-        matrix, labels = pool_ball
-        factors = evaluate.nystrom_factors(matrix, np.arange(12))
-        first_failure = evaluate._FirstFailure(4)
-        first_failure.record(1)
-        fold = functools.partial(
-            evaluate._fold_accuracy, factors=factors, features=factors.cross, labels=labels,
-            mode="flip", lam=None, method="corrected", first_failure=first_failure,
-        )
-        test_idx = np.arange(0, 60, 4)
-        assert 0.0 <= fold(0, test_idx) <= 1.0
-        with pytest.raises(CancelledError):
-            fold(2, test_idx)
-
     def test_the_helper_threads_are_kept_between_calls(self, pool_ball, monkeypatch):
         matrix, labels = pool_ball
         fold_accuracy, runners = evaluate._fold_accuracy, set()
@@ -550,11 +533,11 @@ class TestFoldPool:
         matrix, labels = pool_ball
         fold_accuracy, cpu_sets = evaluate._fold_accuracy, {}
 
-        def recording_fold(index, *args, **kwargs):
+        def recording_fold(test_idx, *args, **kwargs):
             cpu_sets[threading.current_thread()] = os.sched_getaffinity(0)
-            if index == 3:
-                raise ArithmeticError("the last fold fails")
-            return fold_accuracy(index, *args, **kwargs)
+            if len(test_idx) == 14:
+                raise ArithmeticError("the folds that hold out 14 rows, the last two, fail")
+            return fold_accuracy(test_idx, *args, **kwargs)
 
         patch_workers(monkeypatch, 2)
         monkeypatch.setattr(evaluate, "_fold_accuracy", recording_fold)

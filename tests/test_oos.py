@@ -1,6 +1,7 @@
-import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from proxkern import (
 from proxkern import eigencore, oos
 
 from conftest import patch_workers, random_indefinite_dissimilarity, random_symmetric
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def similarity_model(n, m, mode, rng, landmarks=None):
@@ -201,6 +204,23 @@ def record_splits(monkeypatch) -> list:
     return splits
 
 
+# Extends the saved queries on the kept helper thread with 2 task workers, so the split's own
+# helper task queues behind the extension on the pool's single thread, and checks the block
+# against the serial product bit for bit.
+HELPER_SCRIPT = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from proxkern import center_dissimilarity_rows, eigencore, extend_dissimilarities, load_model
+model, d_new = load_model(sys.argv[2]), np.load(sys.argv[3])
+serial = (center_dissimilarity_rows(d_new, model.stats) @ model.w_star) @ model.cross.T
+eigencore._workers = lambda tasks, blas_threads: 2
+helper = eigencore._helper_pool(1, os.getpid())
+got = helper.submit(extend_dissimilarities, model, d_new).result()
+assert got.tobytes() == serial.tobytes()
+"""
+
+
 class TestSplitExtension:
     @pytest.mark.parametrize("t", [1, 64])
     def test_a_split_extension_equals_the_serial_product(self, wide_model, monkeypatch, t):
@@ -229,14 +249,18 @@ class TestSplitExtension:
         assert extend_similarities(model, queries).tobytes() == serial.tobytes()
         assert splits == []
 
-    def test_an_extension_on_a_kept_helper_thread_returns(self, wide_model, monkeypatch):
-        # the split's own helper task queues behind this one on the pool's single thread
+    def test_an_extension_on_a_kept_helper_thread_returns(self, wide_model, tmp_path):
+        # in a child process, so a helper stuck behind its own task fails this test at the
+        # timeout rather than keeping the interpreter from exiting
         model, d_new = wide_model
-        serial = serial_extension(model, d_new)
-        patch_workers(monkeypatch, 2)
-        helper = eigencore._helper_pool(1, os.getpid())
-        got = helper.submit(extend_dissimilarities, model, d_new).result(timeout=60)
-        assert got.tobytes() == serial.tobytes()
+        paths = [tmp_path / "model.pcm", tmp_path / "queries.npy"]
+        save_model(model, paths[0])
+        np.save(paths[1], d_new)
+        done = subprocess.run(
+            [sys.executable, "-c", HELPER_SCRIPT, str(SRC), *map(str, paths)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_concurrent_calls_give_serial_bits(self, wide_model, monkeypatch):
         model, d_new = wide_model
