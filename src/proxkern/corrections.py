@@ -251,10 +251,11 @@ def load_model(path: str | Path) -> CorrectedModel:
     """Read a PCM3 model, raising ``DataError`` on any malformed file.
 
     A header that no fit writes is an error: no landmarks, an unknown flag
-    bit, or a clip or flip model without its feature factor.  So is a
-    non-finite value in ``w_star``, the feature factor or the centering
-    statistics.  The N x m cross block is not scanned: that would be a
-    second pass over the largest array on every load.
+    bit, a clip or flip model without its feature factor, or a nonzero rank
+    k without one.  So is a non-finite value in ``w_star``, the feature
+    factor or the centering statistics.  The N x m cross block is not
+    scanned: that would be a second pass over the largest array on every
+    load.
     """
     with read_container(path, _PCM_HEADER, _PCM_MAGIC) as (header, take):
         _, flags, mode_idx, n, m, k = header
@@ -267,6 +268,8 @@ def load_model(path: str | Path) -> CorrectedModel:
         mode = MODES[mode_idx]
         if mode in ("clip", "flip") and not flags & 2:
             raise DataError(f"{path}: a {mode} model needs its feature factor")
+        if k and not flags & 2:
+            raise DataError(f"{path}: rank k={k} given without a feature factor")
         landmarks = checked_landmarks(path, take(m, "<u8"), n)
         cross = take(n * m, "<f8").reshape(m, n).T
         w_star = take(m * m, "<f8").reshape(m, m)

@@ -90,6 +90,7 @@ def _workers(tasks: int, blas_threads: int | None) -> int:
     Any other BLAS thread count, or an unknown one, gives one worker and
     serial tasks: on 2 CPUs a fold pool next to a 2-thread OpenBLAS ran at
     0.67x of serial folds, and no other multi-threaded case has been measured.
+    No tasks still give one worker, the calling thread, which ``_run_in_order`` needs.
     """
     if blas_threads != 1:
         return 1
@@ -97,7 +98,7 @@ def _workers(tasks: int, blas_threads: int | None) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         cpus = os.cpu_count() or 1
-    return min(tasks, cpus)
+    return max(1, min(tasks, cpus))
 
 
 def _blas_threads() -> int | None:

@@ -9,7 +9,10 @@ full matrix, which is what makes the pipelines linear in N:
 
 * ``nystrom_factors`` builds the blocks from a matrix or a row oracle.  The
   cross block is held landmark-major, as one m x N array of fetched rows;
-  every caller sees it as N x m through its transpose ``cross``.
+  every caller sees it as N x m through its transpose ``cross``.  When the
+  first row takes ``FETCH_SPLIT_S`` or longer and the BLAS runs on one
+  thread, the others are fetched on the task threads of ``eigencore``, so a
+  row oracle's ``row_fn`` may then be called from several threads at once.
 * ``nystrom_eig_indefinite`` (and ``nystrom_eig_psd`` for psd cores)
   computes the eigendecomposition of ``K_hat`` in O(N m^2 + m^3) from one
   row-blocked QR of the cross block and an m x m eigenproblem.
@@ -27,13 +30,22 @@ full matrix, which is what makes the pipelines linear in N:
 from __future__ import annotations
 
 import math
+import threading
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from . import eigencore
 from .dataio import DataError, Kind, ProximityMatrix
 from .eigencore import DEFAULT_PINV_TOL, Signature, pinv_sym, signature_of, sym_eig
+
+# seconds the first landmark row must take before the other rows are fetched on the task
+# threads of eigencore: on 2 CPUs with one BLAS thread, split fetches of ball rows that
+# took 0.1-0.33 ms ran at 0.86-1.49x of the serial time, and of rows from 0.42 ms on at
+# 0.54-0.81x; a first ball row at N = 16000 takes 0.16-0.5 ms, cache-cold
+FETCH_SPLIT_S = 5e-4
 
 
 class RowOracle:
@@ -43,18 +55,26 @@ class RowOracle:
     wraps a dense matrix this way.  Every fetched entry is counted, so
     callers can assert linear access patterns.  A non-finite entry in a
     fetched row raises ``DataError``.
+
+    ``row_fn`` must be safe to call from several threads at once:
+    ``nystrom_factors`` fetches rows that cost ``FETCH_SPLIT_S`` or more on
+    the task threads of ``eigencore``.  Every oracle of the package is:
+    dense slices, and ``dataio.ball_surface_row``, which allocates its
+    scratch per call and backs the command line's ball oracle.
     """
 
     def __init__(self, row_fn: Callable[[int], np.ndarray], n: int):
         self._row_fn = row_fn
         self.n = n
         self.entries_touched = 0
+        self._count_lock = threading.Lock()
 
     def row(self, i: int) -> np.ndarray:
         r = np.asarray(self._row_fn(int(i)), dtype=np.float64)
         if r.shape != (self.n,):
             raise ValueError(f"row oracle returned shape {r.shape}, expected ({self.n},)")
-        self.entries_touched += self.n
+        with self._count_lock:  # rows may be fetched on several threads at once
+            self.entries_touched += self.n
         if not np.isfinite(r).all():
             raise DataError(f"non-finite entry at ({int(i)}, {np.argmin(np.isfinite(r))})")
         return r
@@ -149,6 +169,11 @@ def nystrom_factors(
     array, so no second copy of the block exists and its columns lie in
     LAPACK's order.  The returned ``cross`` and ``core`` are new arrays
     owned by the caller, never views of the source.
+
+    The first row is fetched on the calling thread and timed; from
+    ``FETCH_SPLIT_S`` on, the runner of ``eigencore`` fetches the others on
+    its task threads, each into its own slot, so the blocks keep the bits
+    of a serial fetch and the first bad row in landmark order is raised.
     """
     if kind is None:
         kind = source.kind if isinstance(source, ProximityMatrix) else Kind.SIMILARITY
@@ -160,9 +185,21 @@ def nystrom_factors(
         raise ValueError("landmark index out of range")
     if len(np.unique(landmarks)) != len(landmarks):
         raise ValueError("landmark indices must be distinct")
-    rows = np.empty((len(landmarks), oracle.n))
-    for j, i in enumerate(landmarks):
-        rows[j] = oracle.row(i)
+    m = len(landmarks)
+    rows = np.empty((m, oracle.n))
+
+    def fetch(j: int) -> float:
+        """Write landmark row j into its slot; return the seconds the oracle took for it."""
+        start = time.perf_counter()
+        row = oracle.row(landmarks[j])
+        seconds = time.perf_counter() - start
+        rows[j] = row  # after the clock: a first write into the new block can cost a row's time
+        return seconds
+
+    workers = 1
+    if fetch(0) >= FETCH_SPLIT_S:
+        workers = eigencore._workers(m - 1, eigencore._blas_threads())
+    eigencore._run_in_order(fetch, range(1, m), workers)
     cross = rows.T
     core = cross[landmarks]
     core = core + core.T

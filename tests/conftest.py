@@ -43,6 +43,18 @@ def patch_workers(monkeypatch, workers: int) -> None:
     monkeypatch.setattr(eigencore, "_workers", lambda tasks, blas_threads: workers)
 
 
+def record_splits(monkeypatch) -> list:
+    """The worker count of every call of the task runner from now on."""
+    run_in_order, splits = eigencore._run_in_order, []
+
+    def recording_run(task, items, workers):
+        splits.append(workers)
+        return run_in_order(task, items, workers)
+
+    monkeypatch.setattr(eigencore, "_run_in_order", recording_run)
+    return splits
+
+
 @pytest.fixture(scope="session")
 def ball600():
     """The 600-sample ball benchmark shared by the expensive tests."""

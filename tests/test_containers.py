@@ -242,3 +242,15 @@ def test_non_finite_small_arrays_raise_data_error(field, offset, value, tmp_path
     path.write_bytes(bytes(raw))
     with pytest.raises(DataError, match=f"non-finite values in {field}$"):
         load_model(path)
+
+
+@pytest.mark.parametrize("name", ["none-stats.pcm", "shift.pcm"])
+def test_a_rank_without_its_feature_factor_is_a_data_error(name, tmp_path):
+    # save_model writes k = 0 for every model without a feature factor
+    raw = bytearray((DATA / name).read_bytes())
+    assert not raw[KIND_OFFSET] & 2 and raw[PCM_K_OFFSET : PCM_K_OFFSET + 8] == bytes(8)
+    raw[PCM_K_OFFSET : PCM_K_OFFSET + 8] = (3).to_bytes(8, "little")
+    path = tmp_path / name
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="rank k=3 given without a feature factor"):
+        load_model(path)

@@ -565,6 +565,7 @@ class TestFoldPool:
         assert eigencore._workers(4, 2) == 1  # unmeasured, and slower on 2 CPUs
         assert eigencore._workers(4, 1) == min(4, len(os.sched_getaffinity(0)))
         assert eigencore._workers(1, 1) == 1
+        assert eigencore._workers(0, 1) == 1  # the calling thread, for a runner with no items
 
     def test_the_real_probe_pools_only_a_single_threaded_blas(self):
         single = run_probe(1)

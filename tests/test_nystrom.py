@@ -1,4 +1,8 @@
 import math
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from proxkern import (
     ProximityMatrix,
     RowOracle,
     as_row_oracle,
+    ball_centers,
+    ball_surface_row,
     center_dissimilarity_rows,
     double_center,
     nystrom_double_center,
@@ -24,9 +30,12 @@ from proxkern import (
     sym_eig,
 )
 
+from proxkern import nystrom
 from proxkern.nystrom import _cross_svd
 
-from conftest import random_squared_dissimilarity, random_symmetric
+from conftest import patch_workers, random_squared_dissimilarity, random_symmetric, record_splits
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def sim_factors_from(values, landmarks):
@@ -538,3 +547,116 @@ class TestLinearCost:
             nystrom_factors(oracle, np.arange(8), kind=Kind.SIMILARITY)
             touches.append(oracle.entries_touched)
         assert touches == [8 * 40, 8 * 80, 8 * 160]
+
+
+def ball_oracle() -> RowOracle:
+    centers, radii, _ = ball_centers(200, seed=5)
+    return RowOracle(lambda i: ball_surface_row(centers, radii, i), len(radii))
+
+
+def force_split(monkeypatch, workers: int) -> None:
+    """Fetch every landmark row after the first on ``workers`` task threads."""
+    monkeypatch.setattr(nystrom, "FETCH_SPLIT_S", 0.0)
+    patch_workers(monkeypatch, workers)
+
+
+# Fits a ball oracle on the kept helper thread with the fetch split over 2 task threads, so
+# the fetch's own helper task queues behind the fit on the pool's single thread, and saves
+# the model of a serial fit and of this one.
+HELPER_SCRIPT = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+from proxkern import (Kind, RowOracle, ball_centers, ball_surface_row, eigencore,
+                      fit_corrected_model, nystrom, save_model)
+centers, radii, _ = ball_centers(100, seed=5)
+
+def fit():
+    oracle = RowOracle(lambda i: ball_surface_row(centers, radii, i), len(radii))
+    return fit_corrected_model(oracle, kind=Kind.SQUARED_DISSIMILARITY, m=40, seed=0)
+
+nystrom.FETCH_SPLIT_S = float("inf")
+save_model(fit(), sys.argv[2])
+nystrom.FETCH_SPLIT_S = 0.0
+eigencore._workers = lambda tasks, blas_threads: 2
+run_in_order, splits = eigencore._run_in_order, []
+eigencore._run_in_order = lambda task, items, workers: splits.append(workers) or run_in_order(
+    task, items, workers)
+helper = eigencore._helper_pool(1, os.getpid())
+save_model(helper.submit(fit).result(), sys.argv[3])
+assert splits == [2], splits
+"""
+
+
+class TestSplitFetch:
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_split_fetch_keeps_the_serial_bits_and_count(self, monkeypatch, workers):
+        landmarks = select_landmarks(400, 60, seed=2)
+        monkeypatch.setattr(nystrom, "FETCH_SPLIT_S", math.inf)
+        serial = nystrom_factors(ball_oracle(), landmarks, kind=Kind.SQUARED_DISSIMILARITY)
+        splits = record_splits(monkeypatch)
+        force_split(monkeypatch, workers)  # at 3, more threads than a 2-CPU host has
+        oracle = ball_oracle()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so a lost count would show
+        try:
+            split = nystrom_factors(oracle, landmarks, kind=Kind.SQUARED_DISSIMILARITY)
+        finally:
+            sys.setswitchinterval(interval)
+        assert splits == [workers]
+        for name in ("cross", "core", "core_pinv"):
+            assert getattr(split, name).tobytes() == getattr(serial, name).tobytes()
+        assert oracle.entries_touched == 400 * 60
+
+    def test_a_cheap_dense_source_is_fetched_on_the_calling_thread(self, monkeypatch):
+        # the 600-row source of the cross-validation benchmark costs microseconds a row
+        values = random_symmetric(600, np.random.default_rng(8))
+        splits = record_splits(monkeypatch)
+        patch_workers(monkeypatch, 2)
+        nystrom_factors(values, select_landmarks(600, 300, seed=1), kind=Kind.SIMILARITY)
+        assert splits == [1]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_no_row_is_fetched_after_the_first_bad_one_fails(self, monkeypatch, workers):
+        values = random_symmetric(40, np.random.default_rng(9))
+        landmarks = np.array([5, 30, 2, 17, 8, 21, 11, 36, 0, 25])
+        values[17, 4] = values[11, 7] = np.nan  # the rows at landmark positions 3 and 6
+        slow, fetched = set(landmarks[4:].tolist()), []
+
+        def row(i):
+            fetched.append(i)
+            if i in slow:  # still running when the bad row at position 3 fails
+                time.sleep(0.1)
+            return values[i]
+
+        force_split(monkeypatch, workers)
+        with pytest.raises(DataError, match=r"non-finite entry at \(17, 4\)"):
+            nystrom_factors(RowOracle(row, 40), landmarks, kind=Kind.SIMILARITY)
+        assert fetched[:1] == [5] and {5, 30, 2, 17} <= set(fetched)
+        assert len(slow.intersection(fetched)) <= workers - 1
+        assert 11 not in fetched
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_the_first_bad_row_is_raised_when_a_later_one_fails_first(self, monkeypatch, workers):
+        values = random_symmetric(40, np.random.default_rng(9))
+        landmarks = np.array([5, 30, 2, 17, 8, 21, 11, 36, 0, 25])
+        values[17, 4] = values[8, 7] = np.nan  # the rows at landmark positions 3 and 4
+
+        def row(i):
+            if i == 17:  # so the bad row at position 4 fails first
+                time.sleep(0.1)
+            return values[i]
+
+        force_split(monkeypatch, workers)
+        with pytest.raises(DataError, match=r"non-finite entry at \(17, 4\)"):
+            nystrom_factors(RowOracle(row, 40), landmarks, kind=Kind.SIMILARITY)
+
+    def test_a_fit_on_a_kept_helper_thread_returns_the_serial_model(self, tmp_path):
+        # in a child process, so a helper stuck behind its own task fails this test at the
+        # timeout rather than keeping the interpreter from exiting
+        paths = [tmp_path / "serial.pcm", tmp_path / "split.pcm"]
+        done = subprocess.run(
+            [sys.executable, "-c", HELPER_SCRIPT, str(SRC), *map(str, paths)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert paths[1].read_bytes() == paths[0].read_bytes()

@@ -28,7 +28,7 @@ from proxkern import (
 
 from proxkern import eigencore, oos
 
-from conftest import patch_workers, random_indefinite_dissimilarity, random_symmetric
+from conftest import patch_workers, random_indefinite_dissimilarity, random_symmetric, record_splits
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -190,18 +190,6 @@ def wide_model():
 
 def serial_extension(model, d_new):
     return (center_dissimilarity_rows(d_new, model.stats) @ model.w_star) @ model.cross.T
-
-
-def record_splits(monkeypatch) -> list:
-    """The worker count of every split the extension makes from now on."""
-    run_in_order, splits = eigencore._run_in_order, []
-
-    def recording_run(task, items, workers):
-        splits.append(workers)
-        return run_in_order(task, items, workers)
-
-    monkeypatch.setattr(eigencore, "_run_in_order", recording_run)
-    return splits
 
 
 # Extends the saved queries on the kept helper thread with 2 task workers, so the split's own
